@@ -22,20 +22,20 @@ from .errors import (
     SingularMatrix,
 )
 from .pipeline import (
+    WEIGHT_MODES,
     PipelineConfig,
     build_layers,
     dumps_json17,
     export_graph,
     filter_entities,
     fmt17,
+    fuse_method,
     load_abundance_tables,
     load_similarity_csv,
     run_pipeline,
     write_similarity_csv,
 )
 from .netanalysis import distance_correlation, louvain_communities
-from .sma import BarycenterConfig, rv_matrix, solve_barycenter, uniform_weights, weights_frobenius, weights_rowsum
-from .snf import SnfConfig, snf_fuse
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,6 +58,9 @@ METHOD_ALIASES = {
     "sma-r": "sma-riemannian",
     "sma-w": "sma-wasserstein",
 }
+
+#: Older spellings of ``--weights`` values, mapped onto ``WEIGHT_MODES``.
+WEIGHT_ALIASES = {"rv-pc": "rv-leading-eigenvector"}
 
 
 class NonConvergence(MultifuseError):
@@ -89,13 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuse.add_argument("--inputs", required=True, nargs="+", help="abundance CSVs, one per layer")
     p_fuse.add_argument("--sigma", type=_sigma_arg, default=None, help="RBF bandwidth or 'auto'")
     p_fuse.add_argument("--k", type=int, default=None, help="SNF neighbourhood size")
-    p_fuse.add_argument("--epsilon", type=float, default=1e-6, help="SNF convergence tolerance")
+    p_fuse.add_argument("--epsilon", type=float, default=None, help="SNF convergence tolerance")
     p_fuse.add_argument("--max-iter", type=int, default=None, help="iteration cap")
-    p_fuse.add_argument("--tol", type=float, default=1e-10, help="barycenter tolerance")
+    p_fuse.add_argument("--tol", type=float, default=None, help="barycenter tolerance")
     p_fuse.add_argument("--jitter", type=float, default=None, help="PD regularization for barycenters")
     p_fuse.add_argument(
-        "--weights", default=None, choices=["uniform", "rv-pc", "rv-rowsum"],
-        help="layer weights (default: the method's natural companion)",
+        "--weights", default=None, choices=WEIGHT_MODES, type=lambda v: WEIGHT_ALIASES.get(v, v),
+        help="barycenter layer weights (default: paired, the method's natural companion; "
+        "rv-pc is an alias of rv-leading-eigenvector)",
     )
     p_fuse.add_argument("--out", required=True, help="output directory")
     p_fuse.add_argument("--strict", action="store_true", help="fail on non-convergence")
@@ -132,42 +136,23 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _fuse_weights(choice: str | None, method: str, multiplex) -> object:
-    if method == "snf":
-        return None
-    if choice == "uniform":
-        return uniform_weights(multiplex.m)
-    rv = rv_matrix(multiplex)
-    if choice == "rv-pc":
-        return weights_frobenius(rv)
-    if choice == "rv-rowsum":
-        return weights_rowsum(rv)
-    # method-paired default
-    if method == "sma-frobenius":
-        return weights_frobenius(rv)
-    return weights_rowsum(rv)
+def _present(**kwargs) -> dict:
+    return {k: v for k, v in kwargs.items() if v is not None}
 
 
 def _cmd_fuse(args) -> int:
     method = METHOD_ALIASES[args.method]
-    tables = load_abundance_tables(args.inputs)
-    tables, _ = filter_entities(tables)
-    multiplex, sigmas = build_layers(tables, args.sigma)
-    weights = _fuse_weights(args.weights, method, multiplex)
+    cfg = PipelineConfig.from_dict(_present(
+        inputs=args.inputs, output_dir=args.out, sigma=args.sigma, methods=[method],
+        weights_mode=args.weights,
+        snf=_present(k=args.k, epsilon=args.epsilon, max_iter=args.max_iter),
+        sma=_present(tol=args.tol, max_iter=args.max_iter, jitter=args.jitter),
+    ))
+    tables, _ = filter_entities(load_abundance_tables(cfg.inputs))
+    multiplex, sigmas = build_layers(tables, cfg.sigma)
+    result = fuse_method(multiplex, method, cfg)
 
-    if method == "snf":
-        cfg = SnfConfig(k=args.k, epsilon=args.epsilon, max_iter=args.max_iter or 100)
-        result = snf_fuse(multiplex, cfg)
-    else:
-        bc = BarycenterConfig(
-            method.removeprefix("sma-"),
-            tol=args.tol,
-            max_iter=args.max_iter or 1000,
-            jitter=args.jitter,
-        )
-        result = solve_barycenter(multiplex, weights, bc)
-
-    out = Path(args.out)
+    out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     layer = result.as_layer()
     write_similarity_csv(out / f"monoplex_{method}.csv", layer.labels, layer.S)
@@ -230,15 +215,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except NonConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (*NUMERIC_ERRORS, NonConvergence, *CONFIG_ERRORS) as exc:
+        print(" ".join(["error:", *getattr(exc, "__notes__", ()), str(exc)]), file=sys.stderr)
+        return EXIT_CONFIG if isinstance(exc, CONFIG_ERRORS) else EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 All functions operate on plain ``numpy`` arrays.  Matrices are symmetrized
 once, at construction time (``sym_matrix``); downstream code may then assume
-exact symmetry.  Eigenvector signs follow a fixed convention so that every
-derived quantity is deterministic.
+exact symmetry.  ``sym_eigen`` fixes eigenvector signs so that the vectors
+it returns are deterministic; ``spectral_fns``, the kernel of every matrix
+function, skips that step because ``V f(L) V.T`` does not depend on them.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ __all__ = [
     "sym_matrix",
     "sym_eigen",
     "mat_fn",
+    "spectral_fns",
     "frobenius_inner",
     "fro_norm",
     "is_psd",
@@ -34,7 +36,13 @@ EIG_FLOOR_REL = 1e-12
 #: clip it to zero.  Covers roundoff on matrices that are PSD by construction.
 SQRT_CLIP_REL = 1e-8
 
-MATRIX_FUNCTIONS = ("sqrt", "invsqrt", "log", "exp")
+_SPECTRAL_MAPS = {
+    "sqrt": lambda v: np.sqrt(np.clip(v, 0.0, None)),
+    "invsqrt": lambda v: 1.0 / np.sqrt(v),
+    "log": np.log,
+    "exp": np.exp,
+}
+MATRIX_FUNCTIONS = tuple(_SPECTRAL_MAPS)
 
 
 class EigenPair(NamedTuple):
@@ -93,9 +101,49 @@ def eig_floor(M) -> float:
     return EIG_FLOOR_REL * max(1.0, float(np.trace(m)) / n)
 
 
-def _recompose(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    out = (vectors * values) @ vectors.T
-    return (out + out.T) / 2.0
+def spectral_fns(M: np.ndarray, *tags: str, clip: bool = False) -> tuple[np.ndarray, ...]:
+    """Several functions of one symmetric matrix from a single ``eigh``.
+
+    ``M`` is not validated: it must be a float array that is symmetric up
+    to roundoff (``eigh`` reads only its lower triangle), such as the output
+    of ``sym_matrix`` or a congruence ``A @ S @ A``.  Returns one symmetric
+    matrix ``V f(L) V.T`` per tag, in the order given.
+
+    Checks, made once on the smallest eigenvalue: ``log`` and ``invsqrt``
+    need it at or above the positivity floor ``1e-12 * max(1, trace/n)``;
+    ``sqrt`` clips negative eigenvalues to zero and, unless ``clip`` is set,
+    first refuses any below ``-1e-8 * max(1, trace/n)``; ``exp`` needs
+    nothing.
+
+    Raises
+    ------
+    InvalidParameter
+        For an unknown tag.
+    InvalidInput
+        When the spectrum is not finite (a NaN or infinite entry in ``M``).
+    SingularMatrix
+        When a check above fails.
+    """
+    for f in tags:
+        if f not in MATRIX_FUNCTIONS:
+            raise InvalidParameter(f"unknown matrix function tag {f!r}")
+    values, vectors = np.linalg.eigh(M)
+    if not np.isfinite(values).all():
+        raise InvalidInput("matrix has a non-finite spectrum")
+    lowest = float(values[0])
+    scale = max(1.0, float(values.sum()) / values.shape[0])
+    floor = EIG_FLOOR_REL * scale
+    if ("log" in tags or "invsqrt" in tags) and lowest < floor:
+        raise SingularMatrix(
+            f"{'/'.join(tags)} needs eigenvalues >= {floor:.3e}; got {lowest:.3e}"
+        )
+    if "sqrt" in tags and not clip and lowest < -SQRT_CLIP_REL * scale:
+        raise SingularMatrix(f"sqrt needs a PSD matrix; min eigenvalue {lowest:.3e}")
+    out = []
+    for f in tags:
+        x = (vectors * _SPECTRAL_MAPS[f](values)) @ vectors.T
+        out.append((x + x.T) / 2.0)
+    return tuple(out)
 
 
 def mat_fn(M, f: str) -> np.ndarray:
@@ -104,7 +152,7 @@ def mat_fn(M, f: str) -> np.ndarray:
     Parameters
     ----------
     M : array_like
-        Symmetric matrix.
+        Symmetric matrix; validated and symmetrized by ``sym_matrix``.
     f : {"sqrt", "invsqrt", "log", "exp"}
         Function applied to the eigenvalues; eigenvectors are reused.
 
@@ -115,27 +163,7 @@ def mat_fn(M, f: str) -> np.ndarray:
         floor, or for ``sqrt`` when an eigenvalue is too negative to be
         attributed to roundoff.
     """
-    if f not in MATRIX_FUNCTIONS:
-        raise InvalidParameter(f"unknown matrix function tag {f!r}")
-    values, vectors = sym_eigen(M)
-    n = values.shape[0]
-    scale = max(1.0, float(values.sum()) / n)
-    if f == "sqrt":
-        if values.min() < -SQRT_CLIP_REL * scale:
-            raise SingularMatrix(
-                f"sqrt needs a PSD matrix; min eigenvalue {values.min():.3e}"
-            )
-        mapped = np.sqrt(np.clip(values, 0.0, None))
-    elif f in ("invsqrt", "log"):
-        floor = EIG_FLOOR_REL * scale
-        if values.min() < floor:
-            raise SingularMatrix(
-                f"{f} needs eigenvalues >= {floor:.3e}; got {values.min():.3e}"
-            )
-        mapped = 1.0 / np.sqrt(values) if f == "invsqrt" else np.log(values)
-    else:  # exp
-        mapped = np.exp(values)
-    return _recompose(mapped, vectors)
+    return spectral_fns(sym_matrix(M), f)[0]
 
 
 def frobenius_inner(X, Y) -> float:

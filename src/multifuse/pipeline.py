@@ -14,12 +14,13 @@ from __future__ import annotations
 import csv
 import json
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    DegenerateSpectrum,
     EmptyAfterFilter,
     EmptyTable,
     InvalidInput,
@@ -46,6 +47,7 @@ __all__ = [
     "load_abundance_tables",
     "filter_entities",
     "run_pipeline",
+    "fuse_method",
     "export_graph",
     "load_similarity_csv",
     "write_similarity_csv",
@@ -58,6 +60,9 @@ __all__ = [
 ALL_METHODS = ("snf", "sma-frobenius", "sma-riemannian", "sma-wasserstein")
 WEIGHT_MODES = ("paired", "uniform", "rv-leading-eigenvector", "rv-rowsum")
 EXPORT_FORMATS = ("edge-list", "graphml", "csv-matrix")
+
+#: Keys of a config's ``sma`` object and the ``PipelineConfig`` fields they set.
+SMA_KEYS = {"tol": "sma_tol", "max_iter": "sma_max_iter", "jitter": "sma_jitter"}
 
 
 def fmt17(x: float) -> str:
@@ -306,6 +311,7 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
+        """Read a JSON config; relative paths resolve against its directory."""
         path = Path(path)
         try:
             raw = json.loads(path.read_text())
@@ -313,44 +319,47 @@ class PipelineConfig:
             raise ParseError(f"{path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ParseError(f"{path}: config must be a JSON object")
-        base = path.parent
+        return cls.from_dict(raw, path.parent, where=str(path))
+
+    @classmethod
+    def from_dict(cls, raw, base=".", where: str = "config") -> "PipelineConfig":
+        """Build a config from the keys of a JSON config object.
+
+        Top-level keys are the field names, except that ``sma`` holds
+        ``SMA_KEYS`` and ``snf`` holds ``SnfConfig``'s fields.  Absent keys
+        take the dataclass defaults; unknown keys raise ``ParseError``.
+        Relative paths resolve against ``base``.
+        """
+        _check_keys(raw, {f.name for f in fields(cls)} - set(SMA_KEYS.values()) | {"sma"}, where)
+        given = dict(raw)
+        snf_raw = given.pop("snf", {})
+        sma_raw = given.pop("sma", {})
+        _check_keys(snf_raw, {f.name for f in fields(SnfConfig)}, f"{where}: snf")
+        _check_keys(sma_raw, SMA_KEYS, f"{where}: sma")
+        given.update((SMA_KEYS[k], v) for k, v in sma_raw.items())
 
         def resolve(p) -> str:
             q = Path(p)
-            return str(q if q.is_absolute() else base / q)
+            return str(q if q.is_absolute() else Path(base) / q)
 
         try:
-            inputs = [resolve(p) for p in raw["inputs"]]
-            out_dir = resolve(raw["output_dir"])
+            given["inputs"] = [resolve(p) for p in raw["inputs"]]
+            given["output_dir"] = resolve(raw["output_dir"])
         except KeyError as exc:
-            raise ParseError(f"{path}: missing config key {exc}") from exc
-        snf_raw = raw.get("snf", {})
-        sma_raw = raw.get("sma", {})
-        sigma = raw.get("sigma")
-        if isinstance(sigma, str):
-            if sigma != "auto":
-                raise ParseError(f"{path}: sigma must be a number or 'auto'")
-            sigma = None
-        return cls(
-            inputs=tuple(inputs),
-            output_dir=out_dir,
-            sigma=sigma,
-            snf=SnfConfig(
-                k=snf_raw.get("k"),
-                epsilon=snf_raw.get("epsilon", 1e-6),
-                max_iter=snf_raw.get("max_iter", 100),
-            ),
-            sma_tol=sma_raw.get("tol", 1e-10),
-            sma_max_iter=sma_raw.get("max_iter", 1000),
-            sma_jitter=sma_raw.get("jitter"),
-            weights_mode=raw.get("weights_mode", "paired"),
-            resolution=raw.get("resolution", 1.0),
-            seed=raw.get("seed", 0),
-            export_threshold=raw.get("export_threshold", 0.0),
-            methods=tuple(raw.get("methods", ALL_METHODS)),
-        )
+            raise ParseError(f"{where}: missing config key {exc}") from exc
+        if isinstance(given.get("sigma"), str):
+            if given["sigma"] != "auto":
+                raise ParseError(f"{where}: sigma must be a number or 'auto'")
+            given["sigma"] = None
+        return cls(snf=SnfConfig(**snf_raw), **given)
+
+
+def _check_keys(raw, allowed, where: str):
+    if not isinstance(raw, dict):
+        raise ParseError(f"{where}: expected a JSON object")
+    unknown = sorted(set(raw) - set(allowed))
+    if unknown:
+        raise ParseError(f"{where}: unknown keys {unknown}; allowed: {sorted(allowed)}")
 
 
 @dataclass
@@ -434,12 +443,28 @@ def _pick_weights(mode: str, method: str, m: int, rv) -> np.ndarray:
     return weights_rowsum(rv)
 
 
+def fuse_method(multiplex: Multiplex, method: str, cfg: PipelineConfig, rv=None) -> FusionResult:
+    """Fuse ``multiplex`` with one of ``ALL_METHODS`` under ``cfg``'s settings.
+
+    Barycenters take their layer weights from ``cfg.weights_mode``; ``rv`` is
+    the layers' RV matrix, computed here when not given.
+    """
+    if method == "snf":
+        return snf_fuse(multiplex, cfg.snf)
+    bc = BarycenterConfig(
+        method.removeprefix("sma-"), tol=cfg.sma_tol, max_iter=cfg.sma_max_iter, jitter=cfg.sma_jitter
+    )
+    rv = rv_matrix(multiplex) if rv is None else rv
+    return solve_barycenter(multiplex, _pick_weights(cfg.weights_mode, method, multiplex.m, rv), bc)
+
+
 def run_pipeline(cfg: PipelineConfig) -> RunReport:
     """Run the whole workflow and write all artifacts to ``cfg.output_dir``.
 
     Stages: load, filter, build RBF layers, fuse with every requested
     method, correlate, cluster, export.  Fully deterministic for a fixed
-    configuration and inputs.
+    configuration and inputs.  An error raised inside a stage propagates
+    as is, with an ``[stage <name>]`` note added.
     """
     out_dir = Path(cfg.output_dir)
 
@@ -447,36 +472,24 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
         try:
             return fn(*args, **kwargs)
         except Exception as exc:
-            try:
-                wrapped = type(exc)(f"[stage {name}] {exc}")
-            except Exception:
-                raise exc
-            raise wrapped from exc
+            exc.add_note(f"[stage {name}]")
+            raise
 
     tables = stage("load", load_abundance_tables, cfg.inputs)
     tables, flog = stage("filter", filter_entities, tables)
     multiplex, sigmas = stage("similarity", build_layers, tables, cfg.sigma)
-    m = multiplex.m
 
     rv = rv_matrix(multiplex)
     weight_tables: dict[str, list[float] | None] = {}
     for name, fn in (("frobenius", weights_frobenius), ("rowsum", weights_rowsum)):
         try:
             weight_tables[name] = [float(x) for x in fn(rv)]
-        except Exception:
+        except (DegenerateSpectrum, InvalidInput):
             weight_tables[name] = None
 
-    fusion: dict[str, FusionResult] = {}
-    for method in cfg.methods:
-        if method == "snf":
-            fusion[method] = stage(method, snf_fuse, multiplex, cfg.snf)
-        else:
-            metric = method.removeprefix("sma-")
-            bc = BarycenterConfig(
-                metric, tol=cfg.sma_tol, max_iter=cfg.sma_max_iter, jitter=cfg.sma_jitter
-            )
-            w = _pick_weights(cfg.weights_mode, method, m, rv)
-            fusion[method] = stage(method, solve_barycenter, multiplex, w, bc)
+    fusion: dict[str, FusionResult] = {
+        method: stage(method, fuse_method, multiplex, method, cfg, rv) for method in cfg.methods
+    }
 
     mono_layers = {name: r.as_layer() for name, r in fusion.items()}
     names = tuple(fusion.keys())

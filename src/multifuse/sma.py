@@ -29,7 +29,15 @@ from .errors import (
     InvalidParameter,
     SingularMatrix,
 )
-from .matcore import SQRT_CLIP_REL, eig_floor, fro_norm, frobenius_inner, sym_eigen, sym_matrix
+from .matcore import (
+    SQRT_CLIP_REL,
+    eig_floor,
+    fro_norm,
+    frobenius_inner,
+    spectral_fns,
+    sym_eigen,
+    sym_matrix,
+)
 from .simbuild import Multiplex, SimilarityLayer
 from .snf import FusionResult
 
@@ -213,15 +221,16 @@ def _prepare_pd(mats: list[np.ndarray], jitter: float, require_pd: bool) -> list
     out = []
     for idx, m in enumerate(mats):
         floor = eig_floor(m)
-        psd_tol = SQRT_CLIP_REL * max(1.0, float(np.trace(m)) / m.shape[0])
+        n = m.shape[0]
+        scale = float(np.trace(m)) / n
         lam_min = float(np.linalg.eigvalsh(m).min())
-        if lam_min < -psd_tol and not require_pd:
+        if lam_min < -SQRT_CLIP_REL * max(1.0, scale) and not require_pd:
             # Wasserstein tolerates semidefinite layers but not indefinite ones.
             raise InvalidInput(f"layer {idx} is not positive semidefinite")
         if lam_min < floor and jitter > 0:
-            n = m.shape[0]
-            m = m + jitter * (float(np.trace(m)) / n) * np.eye(n)
-            lam_min = float(np.linalg.eigvalsh(m).min())
+            # adding c*I shifts every eigenvalue by exactly c
+            m = m + jitter * scale * np.eye(n)
+            lam_min += jitter * scale
         if require_pd and lam_min < floor:
             raise SingularMatrix(
                 f"layer {idx} is singular (min eigenvalue {lam_min:.3e}); "
@@ -229,43 +238,6 @@ def _prepare_pd(mats: list[np.ndarray], jitter: float, require_pd: bool) -> list
             )
         out.append(m)
     return out
-
-
-def _split_sqrt(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Square root and inverse square root of a PD matrix from one eigh."""
-    values, vectors = sym_eigen(X)
-    if values.min() < eig_floor(X):
-        raise SingularMatrix(
-            f"iterate lost positive definiteness (min eigenvalue {values.min():.3e})"
-        )
-    root = np.sqrt(values)
-    xs = (vectors * root) @ vectors.T
-    xis = (vectors / root) @ vectors.T
-    return (xs + xs.T) / 2.0, (xis + xis.T) / 2.0
-
-
-def _sym_fn(values: np.ndarray, vectors: np.ndarray, mapped: np.ndarray) -> np.ndarray:
-    out = (vectors * mapped) @ vectors.T
-    return (out + out.T) / 2.0
-
-
-def _log_pd(M: np.ndarray) -> np.ndarray:
-    values, vectors = sym_eigen(M)
-    if values.min() < eig_floor(M):
-        raise SingularMatrix(
-            f"matrix log needs positive definiteness (min eigenvalue {values.min():.3e})"
-        )
-    return _sym_fn(values, vectors, np.log(values))
-
-
-def _sqrt_psd(M: np.ndarray) -> np.ndarray:
-    values, vectors = sym_eigen(M)
-    return _sym_fn(values, vectors, np.sqrt(np.clip(values, 0.0, None)))
-
-
-def _exp_sym(M: np.ndarray) -> np.ndarray:
-    values, vectors = sym_eigen(M)
-    return _sym_fn(values, vectors, np.exp(values))
 
 
 def _weighted_sum(mats: list[np.ndarray], w: np.ndarray) -> np.ndarray:
@@ -315,10 +287,10 @@ def barycenter_riemannian(layers, w, cfg: BarycenterConfig | None = None) -> Fus
     converged = False
     iterations = 0
     while True:
-        xs, xis = _split_sqrt(x)
+        xs, xis = spectral_fns(x, "sqrt", "invsqrt")
         tangent = np.zeros_like(x)
         for wl, s in zip(w, mats):
-            tangent += wl * _log_pd(xis @ s @ xis)
+            tangent += wl * spectral_fns(xis @ s @ xis, "log")[0]
         tangent = (tangent + tangent.T) / 2.0
         residual = fro_norm(tangent)
         history.append(residual)
@@ -327,7 +299,7 @@ def barycenter_riemannian(layers, w, cfg: BarycenterConfig | None = None) -> Fus
             break
         if iterations >= cfg.max_iter:
             break
-        x = xs @ _exp_sym(tangent) @ xs
+        x = xs @ spectral_fns(tangent, "exp")[0] @ xs
         x = (x + x.T) / 2.0
         iterations += 1
     return _result(labels, x, "sma-riemannian", converged, iterations, history, w)
@@ -352,10 +324,10 @@ def barycenter_wasserstein(layers, w, cfg: BarycenterConfig | None = None) -> Fu
     converged = False
     iterations = 0
     while True:
-        xs, xis = _split_sqrt(x)
+        xs, xis = spectral_fns(x, "sqrt", "invsqrt")
         mean_root = np.zeros_like(x)
         for wl, s in zip(w, mats):
-            mean_root += wl * _sqrt_psd(xs @ s @ xs)
+            mean_root += wl * spectral_fns(xs @ s @ xs, "sqrt", clip=True)[0]
         mean_root = (mean_root + mean_root.T) / 2.0
         residual = fro_norm(x - mean_root)
         history.append(residual)

@@ -33,8 +33,6 @@ __all__ = [
     "snf_fuse",
 ]
 
-NORMALIZATIONS = ("total", "row")
-
 
 def default_k(n: int) -> int:
     """Neighbourhood size used when none is configured: max(1, round(n/3))."""
@@ -45,16 +43,14 @@ def default_k(n: int) -> int:
 class SnfConfig:
     """Tuning knobs for one fusion run.
 
-    ``k=None`` resolves to ``default_k(n)`` at fusion time.  ``normalization``
-    selects how initial status matrices are built: ``"total"`` divides by the
-    sum over all entries (the published rule); ``"row"`` is an experimental
-    row-stochastic alternative.
+    ``k=None`` resolves to ``default_k(n)`` at fusion time.  Initial status
+    matrices always use the published total-sum normalization
+    (``global_normalize``).
     """
 
     k: int | None = None
     epsilon: float = 1e-6
     max_iter: int = 100
-    normalization: str = "total"
 
     def __post_init__(self):
         if self.k is not None and self.k < 1:
@@ -63,8 +59,6 @@ class SnfConfig:
             raise InvalidParameter("epsilon must be positive")
         if self.max_iter < 1:
             raise InvalidParameter("max_iter must be >= 1")
-        if self.normalization not in NORMALIZATIONS:
-            raise InvalidParameter(f"unknown normalization {self.normalization!r}")
 
 
 @dataclass
@@ -120,15 +114,6 @@ def global_normalize(S) -> np.ndarray:
     if not total > 0:
         raise InvalidInput("cannot normalize a layer whose entries sum to zero")
     return m / total
-
-
-def row_normalize(S) -> np.ndarray:
-    """Row-stochastic alternative normalization (experimental)."""
-    m = _matrix_of(S)
-    sums = m.sum(axis=1)
-    if not (sums > 0).all():
-        raise InvalidInput("row normalization needs every row sum positive")
-    return m / sums[:, None]
 
 
 def local_normalize(S, k: int) -> np.ndarray:
@@ -213,10 +198,9 @@ def snf_fuse(layers: Multiplex, cfg: SnfConfig | None = None) -> FusionResult:
         raise InvalidInput("fusion needs at least two layers")
     n = layers.n
     k = cfg.k if cfg.k is not None else default_k(n)
-    normalize = global_normalize if cfg.normalization == "total" else row_normalize
 
     mats = layers.matrices()
-    p0 = [normalize(s) for s in mats]
+    p0 = [global_normalize(s) for s in mats]
     q = [local_normalize(s, k) for s in mats]
 
     diagnostics = {}

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from multifuse.cli import main
 from multifuse.pipeline import load_similarity_csv, write_similarity_csv
@@ -81,6 +82,25 @@ class TestFuse:
         assert code == 3
 
 
+    @pytest.mark.parametrize(
+        "flag, method, extra_args, extra_cfg",
+        [
+            ("snf", "snf", [], {}),
+            ("sma-w", "sma-wasserstein", [], {}),
+            ("sma-f", "sma-frobenius", ["--weights", "rv-pc"], {"weights_mode": "rv-leading-eigenvector"}),
+        ],
+    )
+    def test_fuse_matches_run(self, tmp_path, flag, method, extra_args, extra_cfg):
+        fused = tmp_path / "fuse"
+        assert main(["fuse", "--method", flag, "--inputs", *inputs(), *extra_args, "--out", str(fused)]) == 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg = {"inputs": inputs(), "output_dir": str(tmp_path / "run"), "methods": [method], **extra_cfg}
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        name = f"monoplex_{method}.csv"
+        assert (fused / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
+
 class TestDcor:
     def test_prints_value(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -153,3 +173,17 @@ class TestRun:
         cfg_path.write_text("{broken")
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+
+    def test_unknown_config_key_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"inputs": inputs(), "output_dir": "out", "max_iters": 5}))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "max_iters" in capsys.readouterr().err
+
+    def test_stage_note_on_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("entity,s1\nx,oops\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"inputs": [str(bad), inputs(1)[0]], "output_dir": "out"}))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: [stage load] ")

@@ -1,18 +1,23 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from multifuse.errors import DimensionError, InvalidInput, InvalidParameter, SingularMatrix
 from multifuse.matcore import (
+    MATRIX_FUNCTIONS,
     eig_floor,
     fro_norm,
     frobenius_inner,
     is_psd,
     mat_fn,
+    spectral_fns,
     sym_eigen,
     sym_matrix,
 )
 
 SQRT3 = np.sqrt(3.0)
+TAG_SETS = [c for r in range(1, 5) for c in combinations(MATRIX_FUNCTIONS, r)]
 
 
 class TestSymMatrix:
@@ -121,6 +126,36 @@ class TestMatFn:
     def test_unknown_tag(self):
         with pytest.raises(InvalidParameter):
             mat_fn(np.eye(2), "cube")
+        with pytest.raises(InvalidParameter):
+            spectral_fns(np.eye(2), "sqrt", "cube")
+
+    @pytest.mark.parametrize("tags", TAG_SETS, ids="+".join)
+    def test_spectral_fns_match_mat_fn(self, tags):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((7, 7))
+        m = sym_matrix(a.T @ a + 0.5 * np.eye(7))
+        out = spectral_fns(m, *tags)
+        assert len(out) == len(tags)
+        for f, x in zip(tags, out):
+            assert np.array_equal(x, mat_fn(m, f)), f
+            assert np.array_equal(x, x.T)
+
+    def test_spectral_fns_checks(self):
+        with pytest.raises(SingularMatrix):
+            spectral_fns(np.diag([1.0, 0.0]), "sqrt", "invsqrt")
+        with pytest.raises(SingularMatrix):
+            spectral_fns(np.diag([1.0, -1.0]), "sqrt")
+        (root,) = spectral_fns(np.diag([4.0, -1.0]), "sqrt", clip=True)
+        assert np.array_equal(root, np.diag([2.0, 0.0]))
+        assert np.allclose(spectral_fns(np.diag([-50.0, 1.0]), "exp")[0], np.diag(np.exp([-50.0, 1.0])))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_spectral_fns_reject_nonfinite(self, bad):
+        m = np.eye(3)
+        m[1, 0] = m[0, 1] = bad
+        for tags in TAG_SETS:
+            with pytest.raises(InvalidInput):
+                spectral_fns(m, *tags, clip=True)
 
 
 class TestFrobeniusInner:

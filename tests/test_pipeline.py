@@ -1,9 +1,11 @@
+import errno
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from multifuse import pipeline
 from multifuse.errors import EmptyAfterFilter, EmptyTable, InvalidParameter, ParseError
 from multifuse.netanalysis import Partition
 from multifuse.pipeline import (
@@ -241,6 +243,29 @@ class TestRunPipeline:
         assert cfg.weights_mode == "rv-rowsum"
         report = run_pipeline(cfg)
         assert len(report.fusion) == 4
+
+    def test_stage_error_keeps_type_and_attributes(self, tmp_path, monkeypatch):
+        def denied(paths):
+            raise PermissionError(errno.EACCES, "denied", "x.csv")
+
+        monkeypatch.setattr(pipeline, "load_abundance_tables", denied)
+        cfg = PipelineConfig(inputs=self.paths()[:2], output_dir=str(tmp_path / "out"))
+        with pytest.raises(PermissionError) as info:
+            run_pipeline(cfg)
+        assert info.value.errno == errno.EACCES
+        assert info.value.filename == "x.csv"
+        assert info.value.__notes__ == ["[stage load]"]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{"max_iters": 5}, {"snf": {"max_iters": 5}}, {"sma": {"tolerance": 1e-9}}],
+        ids=["top", "snf", "sma"],
+    )
+    def test_unknown_config_keys_rejected(self, tmp_path, extra):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"inputs": self.paths()[:2], "output_dir": "out", **extra}))
+        with pytest.raises(ParseError, match="unknown keys"):
+            PipelineConfig.from_file(p)
 
     def test_bad_config_file(self, tmp_path):
         p = tmp_path / "cfg.json"

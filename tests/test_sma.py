@@ -8,6 +8,7 @@ from multifuse.errors import (
     InvalidParameter,
     SingularMatrix,
 )
+from multifuse import matcore, sma
 from multifuse.matcore import fro_norm
 from multifuse.sma import (
     BarycenterConfig,
@@ -302,3 +303,23 @@ class TestOrderings:
             gap_eigs = np.linalg.eigvalsh((f - ws + (f - ws).T) / 2)
             assert gap_eigs.min() >= -1e-8
             assert np.linalg.det(ws) <= np.linalg.det(f) + 1e-8
+
+
+def test_metric_solvers_bypass_sym_eigen(monkeypatch):
+    # V f(L) V.T does not depend on eigenvector signs, so the solver loops
+    # must not pay for sym_eigen's validation and sign convention
+    calls = []
+    original = matcore.sym_eigen
+
+    def counting(M):
+        calls.append(1)
+        return original(M)
+
+    monkeypatch.setattr(sma, "sym_eigen", counting)
+    monkeypatch.setattr(matcore, "sym_eigen", counting)
+    rng = np.random.default_rng(11)
+    layers = [rand_cp(rng, 6) for _ in range(3)]
+    w = uniform_weights(3)
+    assert barycenter_riemannian(layers, w).converged
+    assert barycenter_wasserstein(layers, w).converged
+    assert calls == []

@@ -229,15 +229,3 @@ class TestSnfFuse:
     def test_default_k(self):
         assert default_k(16) == 5
         assert default_k(2) == 1
-
-    def test_row_normalization_switch(self):
-        mx = Multiplex((layer(FIX_S1, LABELS3), layer(FIX_S2, LABELS3), layer(FIX_S3, LABELS3)))
-        res = snf_fuse(mx, SnfConfig(k=2, normalization="row"))
-        assert res.matrix.shape == (3, 3)
-        assert np.array_equal(res.matrix, res.matrix.T)
-        default = snf_fuse(mx, SnfConfig(k=2))
-        assert not np.array_equal(res.matrix, default.matrix)
-
-    def test_unknown_normalization_rejected(self):
-        with pytest.raises(InvalidParameter):
-            SnfConfig(normalization="spectral")

@@ -48,7 +48,7 @@ CONFIG_ERRORS = (
     DimensionError,
     DegenerateGroup,
     EmptyAfterFilter,
-    FileNotFoundError,
+    OSError,
 )
 NUMERIC_ERRORS = (SingularMatrix, DegenerateSpectrum)
 

@@ -25,6 +25,7 @@ __all__ = [
     "fro_norm",
     "is_psd",
     "eig_floor",
+    "sq_distances",
     "MATRIX_FUNCTIONS",
 ]
 
@@ -188,3 +189,21 @@ def is_psd(M, tol: float = 0.0) -> bool:
         raise InvalidInput("tol must be nonnegative")
     m = sym_matrix(M)
     return bool(np.linalg.eigvalsh(m).min() >= -tol)
+
+
+def sq_distances(rows: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of an (n, p) array.
+
+    Uses the Gram identity ``|x_i|^2 + |x_j|^2 - 2 <x_i, x_j>``, so memory
+    is O(n^2 + np).  The result is exactly symmetric, with a zero diagonal
+    and no negative entries.
+    """
+    # Distances ignore translation; centring first keeps the identity from
+    # cancelling away all precision on rows that share a large offset.
+    x = rows - rows.mean(axis=0)
+    g = x @ x.T
+    sq = np.diag(g)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * g
+    d2 = (d2 + d2.T) / 2.0
+    np.fill_diagonal(d2, 0.0)
+    return np.clip(d2, 0.0, None, out=d2)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidInput, InvalidParameter
+from .matcore import sq_distances
 from .simbuild import SimilarityLayer
 
 __all__ = [
@@ -81,27 +82,20 @@ def _layer_matrix(S) -> tuple[tuple[str, ...] | None, np.ndarray]:
     return None, m
 
 
-def _row_distances(mat: np.ndarray) -> np.ndarray:
-    diff = mat[:, None, :] - mat[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-
 def _double_center(d: np.ndarray) -> np.ndarray:
     row = d.mean(axis=1, keepdims=True)
     col = d.mean(axis=0, keepdims=True)
     return d - row - col + d.mean()
 
 
-def distance_correlation(A, B, profile=None) -> float:
+def distance_correlation(A, B) -> float:
     """Generalized distance correlation between two networks, in [0, 1].
 
     Parameters
     ----------
     A, B : SimilarityLayer or array_like
-        Square matrices over the same node set.
-    profile : callable, optional
-        Maps a matrix to the (n, d) array of per-node sample points; the
-        default uses the matrix rows themselves.
+        Square matrices over the same node set; each row is one node's
+        sample point.
 
     Returns 0 when either network has zero distance variance (all profiles
     coincide).
@@ -114,11 +108,8 @@ def distance_correlation(A, B, profile=None) -> float:
         raise InvalidInput("networks are defined over different node labels")
     if a.shape[0] < 2:
         raise InvalidInput("distance correlation needs at least two nodes")
-    if profile is not None:
-        a = np.asarray(profile(a), dtype=float)
-        b = np.asarray(profile(b), dtype=float)
-    ac = _double_center(_row_distances(a))
-    bc = _double_center(_row_distances(b))
+    ac = _double_center(np.sqrt(sq_distances(a)))
+    bc = _double_center(np.sqrt(sq_distances(b)))
     dcov2 = float((ac * bc).mean())
     dvar_a = float((ac * ac).mean())
     dvar_b = float((bc * bc).mean())
@@ -158,15 +149,8 @@ def _modularity_value(w: np.ndarray, comm: np.ndarray, resolution: float) -> flo
     two_m = float(w.sum())
     if two_m <= 0:
         return 0.0
-    k = w.sum(axis=1)
-    n_comm = int(comm.max()) + 1
-    q = 0.0
-    for c in range(n_comm):
-        members = comm == c
-        inside = float(w[np.ix_(members, members)].sum())
-        tot = float(k[members].sum())
-        q += inside / two_m - resolution * (tot / two_m) ** 2
-    return q
+    c = _aggregate(w, comm)
+    return float(np.trace(c) / two_m - resolution * ((c.sum(axis=1) / two_m) ** 2).sum())
 
 
 def _renumber(comm: np.ndarray) -> np.ndarray:

@@ -593,20 +593,19 @@ def export_graph(layer: SimilarityLayer, partition, fmt: str, path, threshold: f
         raise InvalidParameter(f"unknown export format {fmt!r}")
     path = Path(path)
     labels, s = layer.labels, layer.S
-    n = len(labels)
     if partition is not None and partition.labels != labels:
         raise InvalidInput("partition labels do not match the network")
 
     if fmt == "csv-matrix":
         return write_similarity_csv(path, labels, s)
 
+    iu, ju = np.triu_indices(len(labels), 1)
+    w = s[iu, ju]
+    keep = w > threshold
+    edges = [(labels[i], labels[j], fmt17(x)) for i, j, x in zip(iu[keep], ju[keep], w[keep])]
+
     if fmt == "edge-list":
-        rows = [["source", "target", "weight"]]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if s[i, j] > threshold:
-                    rows.append([labels[i], labels[j], fmt17(s[i, j])])
-        _write_text(path, _csv_text(rows))
+        _write_text(path, _csv_text([("source", "target", "weight"), *edges]))
         return path
 
     # graphml
@@ -624,12 +623,10 @@ def export_graph(layer: SimilarityLayer, partition, fmt: str, path, threshold: f
         if partition is not None:
             data = ET.SubElement(node, "data", key="c")
             data.text = str(int(partition.community[idx]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if s[i, j] > threshold:
-                edge = ET.SubElement(graph, "edge", source=labels[i], target=labels[j])
-                data = ET.SubElement(edge, "data", key="w")
-                data.text = fmt17(s[i, j])
+    for source, target, weight in edges:
+        edge = ET.SubElement(graph, "edge", source=source, target=target)
+        data = ET.SubElement(edge, "data", key="w")
+        data.text = weight
     ET.indent(root)
     text = ET.tostring(root, encoding="unicode", xml_declaration=True) + "\n"
     _write_text(path, text)

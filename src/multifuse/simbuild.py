@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGroup, DimensionError, InvalidInput, InvalidParameter
-from .matcore import sym_matrix
+from .matcore import sq_distances, sym_matrix
 
 __all__ = [
     "FeatureTable",
@@ -169,20 +169,13 @@ class Multiplex:
         return self.layers[i]
 
 
-def _pairwise_sq_dist(rows: np.ndarray) -> np.ndarray:
-    # Explicit differences keep the matrix exactly symmetric (negation is
-    # exact in IEEE arithmetic), unlike the Gram-matrix shortcut.
-    diff = rows[:, None, :] - rows[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
-
-
 def auto_sigma(table: FeatureTable) -> float:
     """Scale-adaptive RBF bandwidth: mean squared pairwise distance.
 
     The mean excludes the diagonal.  Falls back to 1.0 when all rows
     coincide (every distance is zero, so the kernel value is 1 regardless).
     """
-    d2 = _pairwise_sq_dist(table.rows)
+    d2 = sq_distances(table.rows)
     n = d2.shape[0]
     if n < 2:
         return 1.0
@@ -200,7 +193,7 @@ def rbf_similarity(table: FeatureTable, sigma: float | None = None) -> Similarit
         raise InvalidParameter(f"sigma must be positive, got {sigma}")
     if sigma is None:
         sigma = auto_sigma(table)
-    d2 = _pairwise_sq_dist(table.rows)
+    d2 = sq_distances(table.rows)
     s = np.exp(-d2 / sigma)
     np.fill_diagonal(s, 1.0)
     return SimilarityLayer(table.labels, s, "rbf")

@@ -1,4 +1,5 @@
 import json
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,13 @@ class TestFuse:
             ["fuse", "--method", "snf", "--inputs", "nope.csv", "also_nope.csv", "--out", str(tmp_path)]
         )
         assert code == 2
+
+    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["fuse", "--method", "sma-f", "--inputs", *inputs(2), "--out", str(blocker / "out")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_singular_layer_exit_code(self, tmp_path):
         # duplicate site profiles make the RBF layer singular; with no jitter
@@ -140,6 +148,30 @@ class TestExport:
         out = tmp_path / "edges.csv"
         assert main(["export", p, "--format", "edge-list", "--out", str(out)]) == 0
         assert out.read_text() == "source,target,weight\na,b,0.40000000000000002\n"
+
+    def test_edges_above_threshold_in_row_major_order(self, tmp_path):
+        s = np.array(
+            [
+                [1.0, 0.5, 0.75, 0.0],
+                [0.5, 1.0, 0.25, 0.625],
+                [0.75, 0.25, 1.0, 0.5],
+                [0.0, 0.625, 0.5, 1.0],
+            ]
+        )
+        p = matrix_csv(tmp_path, "m.csv", s, ("a", "b", "c", "d"))
+        edges = tmp_path / "edges.csv"
+        graphml = tmp_path / "g.graphml"
+        args = ["--threshold", "0.5"]
+        assert main(["export", p, "--format", "edge-list", "--out", str(edges), *args]) == 0
+        assert main(["export", p, "--format", "graphml", "--out", str(graphml), *args]) == 0
+        # weights equal to the threshold are dropped
+        assert edges.read_text() == "source,target,weight\na,c,0.75\nb,d,0.625\n"
+        ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
+        found = [
+            (e.get("source"), e.get("target"), e.find("g:data", ns).text)
+            for e in ET.parse(graphml).getroot().iter(f"{{{ns['g']}}}edge")
+        ]
+        assert found == [("a", "c", "0.75"), ("b", "d", "0.625")]
 
     def test_graphml_includes_louvain_communities(self, tmp_path):
         p = matrix_csv(tmp_path, "m.csv", block_matrix())

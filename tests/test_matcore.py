@@ -2,6 +2,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from multifuse.errors import DimensionError, InvalidInput, InvalidParameter, SingularMatrix
 from multifuse.matcore import (
@@ -12,6 +15,7 @@ from multifuse.matcore import (
     is_psd,
     mat_fn,
     spectral_fns,
+    sq_distances,
     sym_eigen,
     sym_matrix,
 )
@@ -207,3 +211,28 @@ class TestIsPsd:
 def test_eig_floor_scales_with_trace():
     assert eig_floor(np.eye(3)) == 1e-12
     assert eig_floor(100.0 * np.eye(3)) == 1e-10
+
+
+@st.composite
+def offset_rows(draw):
+    n = draw(st.integers(1, 40))
+    p = draw(st.integers(1, 8))
+    base = draw(arrays(float, (n, p), elements=st.floats(-10.0, 10.0)))
+    offset = draw(arrays(float, p, elements=st.floats(-1e6, 1e6)))
+    return base + offset, draw(st.permutations(range(n)))
+
+
+@settings(deadline=None)
+@given(offset_rows())
+def test_sq_distances_match_explicit_differences(case):
+    rows, perm = case
+    d2 = sq_distances(rows)
+    diff = rows[:, None, :] - rows[None, :, :]
+    ref = np.einsum("ijk,ijk->ij", diff, diff)
+    tol = 1e-9 * max(1.0, ref.max())
+    assert np.abs(d2 - ref).max() <= tol
+    assert np.array_equal(d2, d2.T)
+    assert not np.diag(d2).any()
+    assert d2.min() >= 0.0
+    perm = np.array(perm)
+    assert np.abs(sq_distances(rows[perm]) - d2[np.ix_(perm, perm)]).max() <= tol

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,14 +116,17 @@ class TestDistanceCorrelation:
         assert np.array_equal(table.values, table.values.T)
         assert np.abs(np.diag(table.values) - 1.0).max() <= 1e-12
 
-    def test_profile_hook(self):
+    def test_memory_is_quadratic(self):
+        # n^3 difference temporaries would take 8 * 300^3 bytes = 216 MB
         rng = np.random.default_rng(10)
-        a, b = rand_similarity(rng, 6), rand_similarity(rng, 6)
-        # a profile that rescales every sample point leaves dCor unchanged
-        scaled = distance_correlation(a, b, profile=lambda m: 2.0 * m)
-        assert abs(scaled - distance_correlation(a, b)) <= 1e-12
-        # a degenerate profile collapses the variance
-        assert distance_correlation(a, b, profile=lambda m: np.ones_like(m)) == 0.0
+        a, b = rand_similarity(rng, 300), rand_similarity(rng, 300)
+        tracemalloc.start()
+        try:
+            distance_correlation(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, peak
 
 
 class TestLouvain:

@@ -44,7 +44,6 @@ from .simbuild import (
 from .snf import (
     FusionResult,
     SnfConfig,
-    StatusMatrices,
     cdp_step,
     default_k,
     global_normalize,

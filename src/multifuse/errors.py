@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the parameter type check."""
+
+import numbers
+from dataclasses import fields
 
 
 class MultifuseError(Exception):
@@ -39,3 +42,20 @@ class EmptyTable(ParseError):
 
 class EmptyAfterFilter(MultifuseError):
     """Entity filtering removed every entity."""
+
+
+def check_field_types(cfg):
+    """Raise ``InvalidParameter`` unless each int, float or tuple field holds one.
+
+    ``cfg`` is a dataclass whose annotations are strings.  A bool is not a
+    number, a list passes as a tuple, and ``None`` passes only where the
+    annotation ends in ``| None``.
+    """
+    accepted = {"int": numbers.Integral, "float": numbers.Real, "tuple": (list, tuple)}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        wanted = accepted.get(f.type.removesuffix(" | None").split("[")[0])
+        if wanted is None or (value is None and f.type.endswith(" | None")):
+            continue
+        if isinstance(value, bool) or not isinstance(value, wanted):
+            raise InvalidParameter(f"{f.name} must be of type {f.type}, got {value!r}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInput, InvalidParameter
 from .matcore import sq_distances
-from .simbuild import SimilarityLayer
+from .simbuild import layer_matrix
 
 __all__ = [
     "Partition",
@@ -73,15 +73,6 @@ class CorrelationTable:
         self.values = v
 
 
-def _layer_matrix(S) -> tuple[tuple[str, ...] | None, np.ndarray]:
-    if isinstance(S, SimilarityLayer):
-        return S.labels, S.S
-    m = np.asarray(S, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    return None, m
-
-
 def _double_center(d: np.ndarray) -> np.ndarray:
     row = d.mean(axis=1, keepdims=True)
     col = d.mean(axis=0, keepdims=True)
@@ -100,8 +91,8 @@ def distance_correlation(A, B) -> float:
     Returns 0 when either network has zero distance variance (all profiles
     coincide).
     """
-    labels_a, a = _layer_matrix(A)
-    labels_b, b = _layer_matrix(B)
+    labels_a, a = layer_matrix(A)
+    labels_b, b = layer_matrix(B)
     if a.shape != b.shape:
         raise DimensionError(f"order mismatch: {a.shape[0]} vs {b.shape[0]}")
     if labels_a is not None and labels_b is not None and labels_a != labels_b:
@@ -134,9 +125,8 @@ def correlation_table(names, networks) -> CorrelationTable:
 
 
 def _graph_weights(S) -> tuple[tuple[str, ...], np.ndarray]:
-    labels, mat = _layer_matrix(S)
-    w = np.array(mat, dtype=float)
-    w = (w + w.T) / 2.0
+    labels, mat = layer_matrix(S)
+    w = (mat + mat.T) / 2.0
     np.fill_diagonal(w, 0.0)
     if w.min() < 0:
         raise InvalidInput("edge weights must be nonnegative")

@@ -26,6 +26,7 @@ from .errors import (
     InvalidInput,
     InvalidParameter,
     ParseError,
+    check_field_types,
 )
 from .netanalysis import CorrelationTable, Partition, correlation_table, distance_correlation, louvain_communities
 from .simbuild import FeatureTable, Multiplex, SimilarityLayer, auto_sigma, rbf_similarity
@@ -290,11 +291,14 @@ class PipelineConfig:
     methods: tuple[str, ...] = ALL_METHODS
 
     def __post_init__(self):
+        check_field_types(self)
         self.inputs = tuple(str(p) for p in self.inputs)
         if len(self.inputs) < 2:
             raise InvalidParameter("need at least two layers")
         if self.sigma is not None and not self.sigma > 0:
             raise InvalidParameter("sigma must be positive")
+        if not self.resolution > 0:
+            raise InvalidParameter("resolution must be positive")
         if self.weights_mode not in WEIGHT_MODES:
             raise InvalidParameter(f"unknown weights mode {self.weights_mode!r}")
         self.methods = tuple(self.methods)
@@ -343,7 +347,8 @@ class PipelineConfig:
             return str(q if q.is_absolute() else Path(base) / q)
 
         try:
-            given["inputs"] = [resolve(p) for p in raw["inputs"]]
+            inputs = raw["inputs"]
+            given["inputs"] = [resolve(p) for p in inputs] if isinstance(inputs, list) else inputs
             given["output_dir"] = resolve(raw["output_dir"])
         except KeyError as exc:
             raise ParseError(f"{where}: missing config key {exc}") from exc

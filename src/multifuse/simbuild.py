@@ -122,6 +122,19 @@ class SimilarityLayer:
         return self.S.shape[0]
 
 
+def layer_matrix(S) -> tuple[tuple[str, ...] | None, np.ndarray]:
+    """Labels (``None`` for a bare array) and float matrix of a layer or array.
+
+    Raises ``DimensionError`` unless the matrix is square.
+    """
+    if isinstance(S, SimilarityLayer):
+        return S.labels, S.S
+    m = np.asarray(S, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    return None, m
+
+
 @dataclass
 class Multiplex:
     """Ordered stack of similarity layers over one shared node-label list."""

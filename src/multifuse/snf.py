@@ -18,13 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidParameter
+from .errors import InvalidInput, InvalidParameter, check_field_types
 from .matcore import fro_norm
-from .simbuild import Multiplex, SimilarityLayer
+from .simbuild import Multiplex, SimilarityLayer, layer_matrix
 
 __all__ = [
     "SnfConfig",
-    "StatusMatrices",
     "FusionResult",
     "default_k",
     "global_normalize",
@@ -53,22 +52,13 @@ class SnfConfig:
     max_iter: int = 100
 
     def __post_init__(self):
+        check_field_types(self)
         if self.k is not None and self.k < 1:
             raise InvalidParameter(f"k must be >= 1, got {self.k}")
         if not self.epsilon > 0:
             raise InvalidParameter("epsilon must be positive")
         if self.max_iter < 1:
             raise InvalidParameter("max_iter must be >= 1")
-
-
-@dataclass
-class StatusMatrices:
-    """Diffusion state: current status matrices, fixed kernels, history."""
-
-    P: list[np.ndarray]
-    Q: list[np.ndarray]
-    t: int = 0
-    residuals: list[list[float]] = field(default_factory=list)
 
 
 @dataclass
@@ -101,15 +91,9 @@ class FusionResult:
         return SimilarityLayer(self.labels, np.clip(m, 0.0, 1.0), "external")
 
 
-def _matrix_of(S) -> np.ndarray:
-    if isinstance(S, SimilarityLayer):
-        return S.S
-    return np.asarray(S, dtype=float)
-
-
 def global_normalize(S) -> np.ndarray:
     """Divide every entry by the sum over all entries (total sum = 1)."""
-    m = _matrix_of(S)
+    _, m = layer_matrix(S)
     total = float(m.sum())
     if not total > 0:
         raise InvalidInput("cannot normalize a layer whose entries sum to zero")
@@ -123,49 +107,43 @@ def local_normalize(S, k: int) -> np.ndarray:
     selected neighbours all have zero similarity are left all-zero (callers
     flag them in diagnostics).
     """
-    m = _matrix_of(S)
+    _, m = layer_matrix(S)
     n = m.shape[0]
     if not 1 <= k <= n - 1:
         raise InvalidParameter(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
+    # Stable sort on the negated similarities: ties keep index order.
+    order = np.argsort(-m, axis=1, kind="stable")
+    nbrs = order[order != np.arange(n)[:, None]].reshape(n, n - 1)[:, :k]
+    vals = np.take_along_axis(m, nbrs, axis=1)
+    total = vals.sum(axis=1, keepdims=True)
+    scaled = np.divide(vals, total, out=np.zeros_like(vals), where=total > 0)
     q = np.zeros_like(m)
-    for i in range(n):
-        others = np.concatenate((np.arange(i), np.arange(i + 1, n)))
-        # Stable sort on the negated similarities: ties keep index order.
-        order = np.argsort(-m[i, others], kind="stable")
-        nbrs = others[order[:k]]
-        total = float(m[i, nbrs].sum())
-        if total > 0:
-            q[i, nbrs] = m[i, nbrs] / total
+    np.put_along_axis(q, nbrs, scaled, axis=1)
     return q
 
 
-def zero_neighbour_rows(Q: np.ndarray) -> list[int]:
-    """Indices of rows that could not be locally normalized."""
-    return np.flatnonzero(Q.sum(axis=1) == 0).tolist()
-
-
-def cdp_step(state: StatusMatrices) -> StatusMatrices:
+def cdp_step(P: list[np.ndarray], Q: list[np.ndarray]) -> list[np.ndarray]:
     """One simultaneous cross-diffusion update of all layers.
 
-    Every layer's new status is computed from the time-t snapshot, then
+    ``P`` holds the status matrices and ``Q`` the fixed kernels, one per
+    layer.  Every layer's new status is computed from the old ``P``, then
     symmetrized (the update rule is not exactly symmetry-preserving in
     floating point).
     """
-    m = len(state.P)
+    m = len(P)
     if m < 2:
         raise InvalidInput("cross diffusion needs at least two layers")
     new_p = []
-    step_res = []
     for l in range(m):
-        acc = np.zeros_like(state.P[l])
-        for h in range(m):
-            if h != l:
-                acc += state.P[h]
-        mixed = state.Q[l] @ (acc / (m - 1)) @ state.Q[l].T
-        mixed = (mixed + mixed.T) / 2.0
-        new_p.append(mixed)
-        step_res.append(fro_norm(mixed - state.P[l]))
-    return StatusMatrices(new_p, state.Q, state.t + 1, state.residuals + [step_res])
+        # Sum the other layers in index order and in place: total - own
+        # breaks exact ties between identical layers by roundoff, and a new
+        # array per addition grew peak RSS at n = 400 by about 10 MB.
+        others = np.zeros_like(P[l])
+        for p in P[:l] + P[l + 1:]:
+            others += p
+        mixed = Q[l] @ (others / (m - 1)) @ Q[l].T
+        new_p.append((mixed + mixed.T) / 2.0)
+    return new_p
 
 
 def _reweight(fused: np.ndarray) -> np.ndarray:
@@ -196,42 +174,36 @@ def snf_fuse(layers: Multiplex, cfg: SnfConfig | None = None) -> FusionResult:
     cfg = cfg or SnfConfig()
     if layers.m < 2:
         raise InvalidInput("fusion needs at least two layers")
-    n = layers.n
-    k = cfg.k if cfg.k is not None else default_k(n)
+    k = cfg.k if cfg.k is not None else default_k(layers.n)
 
     mats = layers.matrices()
-    p0 = [global_normalize(s) for s in mats]
-    q = [local_normalize(s, k) for s in mats]
+    P = [global_normalize(s) for s in mats]
+    Q = [local_normalize(s, k) for s in mats]
 
-    diagnostics = {}
-    dead = {name: zero_neighbour_rows(qm) for name, qm in zip(layers.names, q)}
+    # Rows whose k nearest neighbours all have zero similarity.
+    dead = {name: np.flatnonzero(q.sum(axis=1) == 0).tolist() for name, q in zip(layers.names, Q)}
     dead = {name: rows for name, rows in dead.items() if rows}
-    if dead:
-        diagnostics["zero_neighbour_rows"] = dead
+    diagnostics = {"zero_neighbour_rows": dead} if dead else {}
 
-    state = StatusMatrices(p0, q)
-    converged = False
+    history: list[float] = []
     for _ in range(cfg.max_iter):
-        state = cdp_step(state)
-        if max(state.residuals[-1]) < cfg.epsilon:
-            converged = True
+        new_p = cdp_step(P, Q)
+        history.append(max(fro_norm(new - old) for new, old in zip(new_p, P)))
+        P = new_p
+        if history[-1] < cfg.epsilon:
             break
 
-    fused = state.P[0].copy()
-    for mat in state.P[1:]:
-        fused += mat
-    fused /= len(state.P)
+    fused = sum(P) / len(P)
     fused = (fused + fused.T) / 2.0
 
-    history = tuple(max(r) for r in state.residuals)
     return FusionResult(
         labels=layers.labels,
         matrix=_reweight(fused),
         method="snf",
-        converged=converged,
-        iterations=state.t,
+        converged=history[-1] < cfg.epsilon,
+        iterations=len(history),
         residual=history[-1],
-        residual_history=history,
+        residual_history=tuple(history),
         weights=None,
         diagnostics=diagnostics,
     )

@@ -116,6 +116,21 @@ def snf_reference(mats, k, eps, max_iter):
     return out, p, t
 
 
+def local_normalize_reference(s, k):
+    """k-nearest-neighbour row normalization, one stable sort per row."""
+    m = np.asarray(s, dtype=float)
+    n = m.shape[0]
+    q = np.zeros_like(m)
+    for i in range(n):
+        others = np.concatenate((np.arange(i), np.arange(i + 1, n)))
+        order = np.argsort(-m[i, others], kind="stable")
+        nbrs = others[order[:k]]
+        total = float(m[i, nbrs].sum())
+        if total > 0:
+            q[i, nbrs] = m[i, nbrs] / total
+    return q
+
+
 def cdp_step_reference(p_list, q_list):
     """One literal cross-diffusion update of every layer."""
     m = len(p_list)

@@ -212,6 +212,32 @@ class TestRun:
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert "max_iters" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"seed": "3"},
+            {"seed": 1.5},
+            {"seed": True},
+            {"resolution": "1"},
+            {"sigma": True},
+            {"export_threshold": "0.1"},
+            {"snf": {"epsilon": "1e-6"}},
+            {"snf": {"k": 2.5}},
+            {"snf": {"k": True}},
+            {"sma": {"max_iter": "5"}},
+            {"sma": {"tol": None}},
+            {"inputs": 5},
+        ],
+        ids=lambda e: json.dumps(e),
+    )
+    def test_mistyped_config_value_exit_code(self, tmp_path, capsys, entry):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = {"inputs": inputs(2), "output_dir": str(tmp_path / "out"), "methods": ["snf"], **entry}
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_stage_note_on_error_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("entity,s1\nx,oops\n")

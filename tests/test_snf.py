@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from multifuse.errors import InvalidInput, InvalidParameter
+from multifuse.errors import DimensionError, InvalidInput, InvalidParameter
 from multifuse.simbuild import Multiplex, SimilarityLayer
 from multifuse.snf import (
     SnfConfig,
-    StatusMatrices,
     cdp_step,
     default_k,
     global_normalize,
@@ -13,7 +15,7 @@ from multifuse.snf import (
     snf_fuse,
 )
 
-from oracles import cdp_step_reference, snf_reference
+from oracles import cdp_step_reference, local_normalize_reference, snf_reference
 
 LABELS3 = ("a", "b", "c")
 
@@ -46,6 +48,10 @@ class TestGlobalNormalize:
     def test_zero_layer(self):
         with pytest.raises(InvalidInput):
             global_normalize(np.zeros((3, 3)))
+
+    def test_non_square(self):
+        with pytest.raises(DimensionError):
+            global_normalize(np.ones((2, 3)))
 
 
 class TestLocalNormalize:
@@ -93,38 +99,51 @@ class TestLocalNormalize:
         assert np.array_equal(q, np.zeros((3, 3)))
 
 
+@st.composite
+def tied_matrix_and_k(draw):
+    n = draw(st.integers(2, 30))
+    # a small value set makes neighbour ties and all-zero rows common
+    m = draw(arrays(float, (n, n), elements=st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+    return m, draw(st.integers(1, n - 1))
+
+
+@settings(deadline=None)
+@given(tied_matrix_and_k())
+def test_local_normalize_matches_row_loop(case):
+    m, k = case
+    assert np.array_equal(local_normalize(m, k), local_normalize_reference(m, k))
+
+
 class TestCdpStep:
     def test_identical_layers(self):
         p = global_normalize(FIX_S1)
         q = local_normalize(FIX_S1, 1)
-        state = StatusMatrices([p.copy(), p.copy()], [q, q])
-        out = cdp_step(state)
+        out = cdp_step([p.copy(), p.copy()], [q, q])
         expected = q @ p @ q.T
         expected = (expected + expected.T) / 2
-        assert np.allclose(out.P[0], expected, atol=1e-15)
-        assert np.allclose(out.P[1], expected, atol=1e-15)
-        assert out.t == 1 and len(out.residuals) == 1
+        assert len(out) == 2
+        assert np.allclose(out[0], expected, atol=1e-15)
+        assert np.allclose(out[1], expected, atol=1e-15)
 
     def test_matches_reference_step(self):
         mats = [FIX_S1, FIX_S2]
         p = [global_normalize(s) for s in mats]
         q = [local_normalize(s, 1) for s in mats]
-        out = cdp_step(StatusMatrices([x.copy() for x in p], q))
+        out = cdp_step([x.copy() for x in p], q)
         ref = cdp_step_reference(p, q)
-        for got, want in zip(out.P, ref):
+        for got, want in zip(out, ref):
             assert np.allclose(got, want, atol=1e-15)
 
     def test_identity_kernel_returns_mean_of_others(self):
         rng = np.random.default_rng(1)
         p = [rng.random((3, 3)) for _ in range(3)]
         p = [(x + x.T) / 2 for x in p]
-        state = StatusMatrices([x.copy() for x in p], [np.eye(3)] * 3)
-        out = cdp_step(state)
-        assert np.allclose(out.P[0], (p[1] + p[2]) / 2, atol=1e-15)
+        out = cdp_step([x.copy() for x in p], [np.eye(3)] * 3)
+        assert np.allclose(out[0], (p[1] + p[2]) / 2, atol=1e-15)
 
     def test_needs_two_layers(self):
         with pytest.raises(InvalidInput):
-            cdp_step(StatusMatrices([np.eye(2)], [np.eye(2)]))
+            cdp_step([np.eye(2)], [np.eye(2)])
 
 
 class TestSnfFuse:
@@ -162,6 +181,18 @@ class TestSnfFuse:
         assert res.residual < 1e-8
         assert res.residual == res.residual_history[-1]
         assert len(res.residual_history) == res.iterations
+
+    def test_residual_history_is_largest_layer_change(self):
+        mats = [FIX_S1, FIX_S2, FIX_S3]
+        mx = Multiplex(tuple(layer(s, LABELS3) for s in mats))
+        res = snf_fuse(mx, SnfConfig(k=2, epsilon=1e-8))
+        p = [s / s.sum() for s in mats]
+        q = [local_normalize_reference(s, 2) for s in mats]
+        for got in res.residual_history:
+            new_p = cdp_step_reference(p, q)
+            want = max(np.linalg.norm(a - b, "fro") for a, b in zip(new_p, p))
+            assert abs(got - want) <= 1e-15
+            p = new_p
 
     def test_nonconvergence_is_flagged_not_raised(self):
         res = snf_fuse(fixture_multiplex(), SnfConfig(k=2, epsilon=1e-15, max_iter=2))

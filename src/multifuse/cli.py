@@ -24,6 +24,7 @@ from .errors import (
 from .pipeline import (
     WEIGHT_MODES,
     PipelineConfig,
+    _write_text,
     build_layers,
     dumps_json17,
     export_graph,
@@ -153,7 +154,6 @@ def _cmd_fuse(args) -> int:
     result = fuse_method(multiplex, method, cfg)
 
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     layer = result.as_layer()
     write_similarity_csv(out / f"monoplex_{method}.csv", layer.labels, layer.S)
     summary = {
@@ -165,7 +165,7 @@ def _cmd_fuse(args) -> int:
         "residual": result.residual,
         "weights": None if result.weights is None else list(result.weights),
     }
-    (out / "fuse_report.json").write_text(dumps_json17(summary) + "\n")
+    _write_text(out / "fuse_report.json", dumps_json17(summary) + "\n")
     status = "converged" if result.converged else "NOT converged"
     print(f"{method}: {status} after {result.iterations} iterations")
     print(f"monoplex written to {out / f'monoplex_{method}.csv'}")

@@ -62,9 +62,6 @@ ALL_METHODS = ("snf", "sma-frobenius", "sma-riemannian", "sma-wasserstein")
 WEIGHT_MODES = ("paired", "uniform", "rv-leading-eigenvector", "rv-rowsum")
 EXPORT_FORMATS = ("edge-list", "graphml", "csv-matrix")
 
-#: Keys of a config's ``sma`` object and the ``PipelineConfig`` fields they set.
-SMA_KEYS = {"tol": "sma_tol", "max_iter": "sma_max_iter", "jitter": "sma_jitter"}
-
 
 def fmt17(x: float) -> str:
     """Render a float with 17 significant digits (round-trip exact)."""
@@ -136,9 +133,9 @@ class AbundanceTable:
 
 def _parse_abundance_csv(path: Path) -> AbundanceTable:
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             numbered = [(i, row) for i, row in enumerate(csv.reader(fh), start=1) if row]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not numbered:
         raise ParseError(f"{path}: file is empty")
@@ -281,9 +278,7 @@ class PipelineConfig:
     output_dir: str
     sigma: float | None = None
     snf: SnfConfig = field(default_factory=SnfConfig)
-    sma_tol: float = 1e-10
-    sma_max_iter: int = 1000
-    sma_jitter: float | None = None
+    sma: BarycenterConfig = field(default_factory=BarycenterConfig)
     weights_mode: str = "paired"
     resolution: float = 1.0
     seed: int = 0
@@ -315,11 +310,11 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        """Read a JSON config; relative paths resolve against its directory."""
+        """Read a UTF-8 JSON config; relative paths resolve against its directory."""
         path = Path(path)
         try:
-            raw = json.loads(path.read_text())
-        except OSError as exc:
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"{path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
@@ -329,20 +324,25 @@ class PipelineConfig:
     def from_dict(cls, raw, base=".", where: str = "config") -> "PipelineConfig":
         """Build a config from the keys of a JSON config object.
 
-        Top-level keys are the field names, except that ``sma`` holds
-        ``SMA_KEYS`` and ``snf`` holds ``SnfConfig``'s fields.  Absent keys
-        take the dataclass defaults; unknown keys raise ``ParseError``.
-        Relative paths resolve against ``base``.
+        Keys are the field names; ``snf`` holds ``SnfConfig``'s fields and
+        ``sma`` holds ``BarycenterConfig``'s.  Absent keys take the dataclass
+        defaults; unknown keys raise ``ParseError``.  Relative paths resolve
+        against ``base``.
         """
-        _check_keys(raw, {f.name for f in fields(cls)} - set(SMA_KEYS.values()) | {"sma"}, where)
+        _check_keys(raw, {f.name for f in fields(cls)}, where)
         given = dict(raw)
-        snf_raw = given.pop("snf", {})
-        sma_raw = given.pop("sma", {})
-        _check_keys(snf_raw, {f.name for f in fields(SnfConfig)}, f"{where}: snf")
-        _check_keys(sma_raw, SMA_KEYS, f"{where}: sma")
-        given.update((SMA_KEYS[k], v) for k, v in sma_raw.items())
+        for key, sub in (("snf", SnfConfig), ("sma", BarycenterConfig)):
+            sub_raw = given.get(key, {})
+            _check_keys(sub_raw, {f.name for f in fields(sub)}, f"{where}: {key}")
+            try:
+                given[key] = sub(**sub_raw)
+            except InvalidParameter as exc:
+                exc.add_note(f"[{where}: {key}]")
+                raise
 
         def resolve(p) -> str:
+            if not isinstance(p, str):
+                raise InvalidParameter(f"{where}: paths must be strings, got {p!r}")
             q = Path(p)
             return str(q if q.is_absolute() else Path(base) / q)
 
@@ -356,7 +356,7 @@ class PipelineConfig:
             if given["sigma"] != "auto":
                 raise ParseError(f"{where}: sigma must be a number or 'auto'")
             given["sigma"] = None
-        return cls(snf=SnfConfig(**snf_raw), **given)
+        return cls(**given)
 
 
 def _check_keys(raw, allowed, where: str):
@@ -435,9 +435,9 @@ def build_layers(tables, sigma: float | None = None) -> tuple[Multiplex, dict[st
     return mx, sigmas
 
 
-def _pick_weights(mode: str, method: str, m: int, rv) -> np.ndarray:
+def _pick_weights(mode: str, method: str, rv) -> np.ndarray:
     if mode == "uniform":
-        return uniform_weights(m)
+        return uniform_weights(len(rv))
     if mode == "rv-leading-eigenvector":
         return weights_frobenius(rv)
     if mode == "rv-rowsum":
@@ -456,11 +456,9 @@ def fuse_method(multiplex: Multiplex, method: str, cfg: PipelineConfig, rv=None)
     """
     if method == "snf":
         return snf_fuse(multiplex, cfg.snf)
-    bc = BarycenterConfig(
-        method.removeprefix("sma-"), tol=cfg.sma_tol, max_iter=cfg.sma_max_iter, jitter=cfg.sma_jitter
-    )
     rv = rv_matrix(multiplex) if rv is None else rv
-    return solve_barycenter(multiplex, _pick_weights(cfg.weights_mode, method, multiplex.m, rv), bc)
+    w = _pick_weights(cfg.weights_mode, method, rv)
+    return solve_barycenter(multiplex, w, method.removeprefix("sma-"), cfg.sma)
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunReport:
@@ -534,7 +532,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
 
 def _write_text(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -560,9 +558,9 @@ def load_similarity_csv(path) -> SimilarityLayer:
     """Read a labelled matrix CSV back into a similarity layer."""
     path = Path(path)
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             rows = [row for row in csv.reader(fh) if row]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if len(rows) < 2:
         raise ParseError(f"{path}: expected a header and at least one row")

@@ -28,6 +28,7 @@ from .errors import (
     InvalidInput,
     InvalidParameter,
     SingularMatrix,
+    check_field_types,
 )
 from .matcore import (
     SQRT_CLIP_REL,
@@ -43,7 +44,6 @@ from .snf import FusionResult
 
 __all__ = [
     "BarycenterConfig",
-    "METRICS",
     "rv_matrix",
     "weights_frobenius",
     "weights_rowsum",
@@ -55,8 +55,6 @@ __all__ = [
     "solve_barycenter",
 ]
 
-METRICS = ("frobenius", "riemannian", "wasserstein")
-
 #: Gap under which the two largest RV eigenvalues count as coincident.
 SPECTRAL_GAP_TOL = 1e-10
 
@@ -65,34 +63,27 @@ WEIGHT_SUM_TOL = 1e-12
 
 @dataclass
 class BarycenterConfig:
-    """Solver settings for one barycenter computation.
+    """Settings of the iterative barycenter solvers.
 
-    ``jitter=None`` resolves to the metric default: 1e-8 for the Riemannian
+    ``jitter=None`` resolves to the solver's default: 1e-8 for the Riemannian
     metric (whose machinery needs strictly positive definite layers) and 0
-    for the others.  A positive jitter adds ``jitter * (trace/n) * I`` to any
-    layer whose smallest eigenvalue sits below the positivity floor.
+    for the Wasserstein metric.  A positive jitter adds
+    ``jitter * (trace/n) * I`` to any layer whose smallest eigenvalue sits
+    below the positivity floor.
     """
 
-    metric: str
     tol: float = 1e-10
     max_iter: int = 1000
     jitter: float | None = None
 
     def __post_init__(self):
-        if self.metric not in METRICS:
-            raise InvalidParameter(f"unknown metric {self.metric!r}")
+        check_field_types(self)
         if not self.tol > 0:
             raise InvalidParameter("tol must be positive")
         if self.max_iter < 1:
             raise InvalidParameter("max_iter must be >= 1")
         if self.jitter is not None and self.jitter < 0:
             raise InvalidParameter("jitter must be nonnegative")
-
-    @property
-    def resolved_jitter(self) -> float:
-        if self.jitter is not None:
-            return self.jitter
-        return 1e-8 if self.metric == "riemannian" else 0.0
 
 
 def _coerce_layers(layers) -> tuple[tuple[str, ...], list[np.ndarray]]:
@@ -275,12 +266,10 @@ def barycenter_riemannian(layers, w, cfg: BarycenterConfig | None = None) -> Fus
     X^{-1/2})||_F`` drops to ``tol * m``.  Hitting ``max_iter`` returns a
     result flagged ``converged=False``.
     """
-    cfg = cfg or BarycenterConfig("riemannian")
-    if cfg.metric != "riemannian":
-        raise InvalidParameter(f"config is for metric {cfg.metric!r}")
+    cfg = cfg or BarycenterConfig()
     labels, mats = _coerce_layers(layers)
     w = check_weights(w, len(mats))
-    mats = _prepare_pd(mats, cfg.resolved_jitter, require_pd=True)
+    mats = _prepare_pd(mats, 1e-8 if cfg.jitter is None else cfg.jitter, require_pd=True)
 
     x = _weighted_sum(mats, w)
     history: list[float] = []
@@ -312,12 +301,10 @@ def barycenter_wasserstein(layers, w, cfg: BarycenterConfig | None = None) -> Fu
     ``||X - sum_l w_l (X^{1/2} S_l X^{1/2})^{1/2}||_F <= tol``.  Layers may
     be semidefinite as long as the iterate stays positive definite.
     """
-    cfg = cfg or BarycenterConfig("wasserstein")
-    if cfg.metric != "wasserstein":
-        raise InvalidParameter(f"config is for metric {cfg.metric!r}")
+    cfg = cfg or BarycenterConfig()
     labels, mats = _coerce_layers(layers)
     w = check_weights(w, len(mats))
-    mats = _prepare_pd(mats, cfg.resolved_jitter, require_pd=False)
+    mats = _prepare_pd(mats, cfg.jitter or 0.0, require_pd=False)
 
     x = _weighted_sum(mats, w)
     history: list[float] = []
@@ -342,10 +329,16 @@ def barycenter_wasserstein(layers, w, cfg: BarycenterConfig | None = None) -> Fu
     return _result(labels, x, "sma-wasserstein", converged, iterations, history, w)
 
 
-def solve_barycenter(layers, w, cfg: BarycenterConfig) -> FusionResult:
-    """Dispatch to the solver matching ``cfg.metric``."""
-    if cfg.metric == "frobenius":
+def solve_barycenter(layers, w, metric: str, cfg: BarycenterConfig | None = None) -> FusionResult:
+    """Barycenter of ``layers`` under ``metric``: frobenius, riemannian or wasserstein.
+
+    ``cfg`` holds the iterative solvers' settings; the Frobenius mean is
+    closed-form and ignores it.
+    """
+    if metric == "frobenius":
         return barycenter_frobenius(layers, w)
-    if cfg.metric == "riemannian":
+    if metric == "riemannian":
         return barycenter_riemannian(layers, w, cfg)
-    return barycenter_wasserstein(layers, w, cfg)
+    if metric == "wasserstein":
+        return barycenter_wasserstein(layers, w, cfg)
+    raise InvalidParameter(f"unknown metric {metric!r}")

@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 
+#: Roundoff excursion outside [0, 1] that ``FusionResult.as_layer`` clips.
+CLIP_TOL = 1e-8
+
+
 def default_k(n: int) -> int:
     """Neighbourhood size used when none is configured: max(1, round(n/3))."""
     return max(1, round(n / 3))
@@ -75,17 +79,17 @@ class FusionResult:
     weights: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
 
-    def as_layer(self, clip_tol: float = 1e-8) -> SimilarityLayer:
+    def as_layer(self) -> SimilarityLayer:
         """View the monoplex as a similarity layer.
 
         Entries may stray outside [0, 1] by roundoff amounts when the solver
-        ran on general SPD inputs; excursions up to ``clip_tol`` are clipped,
+        ran on general SPD inputs; excursions up to ``CLIP_TOL`` are clipped,
         larger ones raise ``InvalidInput``.
         """
         m = self.matrix
-        if m.min() < -clip_tol or m.max() > 1.0 + clip_tol:
+        if m.min() < -CLIP_TOL or m.max() > 1.0 + CLIP_TOL:
             raise InvalidInput(
-                f"monoplex entries outside [0, 1] by more than {clip_tol:g}: "
+                f"monoplex entries outside [0, 1] by more than {CLIP_TOL:g}: "
                 f"range [{m.min():.6g}, {m.max():.6g}]"
             )
         return SimilarityLayer(self.labels, np.clip(m, 0.0, 1.0), "external")

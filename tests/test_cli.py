@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import multifuse
 from multifuse.cli import main
 from multifuse.pipeline import load_similarity_csv, write_similarity_csv
 
@@ -60,6 +64,28 @@ class TestFuse:
             ]
         )
         assert code == 3
+
+    def test_out_of_range_barycenter_setting_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["fuse", "--method", "snf", "--inputs", *inputs(), "--tol", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: [config: sma] tol must be positive\n"
+        assert not out.exists()
+
+    def test_non_ascii_ids_under_ascii_locale(self, tmp_path):
+        a = tmp_path / "a.csv"
+        a.write_bytes("entity,s1,s2\nspü1,1.0,0.5\nx,0.2,0.9\ny,0.7,0.1\n".encode())
+        b = tmp_path / "b.csv"
+        b.write_bytes("entity,s1\nspü1,1.0\nx,0.5\ny,0.2\n".encode())
+        out = tmp_path / "out"
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=str(Path(multifuse.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "multifuse.cli", "fuse", "--method", "sma-f",
+             "--inputs", str(a), str(b), "--out", str(out)],
+            env=env, capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "spü1".encode() in (out / "monoplex_sma-frobenius.csv").read_bytes()
 
     def test_missing_input_exit_code(self, tmp_path):
         code = main(
@@ -205,6 +231,8 @@ class TestRun:
         cfg_path.write_text("{broken")
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+        cfg_path.write_bytes('{"seed": "ü"}'.encode("latin-1"))
+        assert main(["run", "--config", str(cfg_path)]) == 2
 
     def test_unknown_config_key_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -227,6 +255,11 @@ class TestRun:
             {"sma": {"max_iter": "5"}},
             {"sma": {"tol": None}},
             {"inputs": 5},
+            {"inputs": [1, 2]},
+            {"output_dir": 5},
+            {"sma": {"tol": 0}},
+            {"sma": {"max_iter": 0}},
+            {"sma": {"jitter": -1}},
         ],
         ids=lambda e: json.dumps(e),
     )
@@ -241,6 +274,14 @@ class TestRun:
     def test_stage_note_on_error_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("entity,s1\nx,oops\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"inputs": [str(bad), inputs(1)[0]], "output_dir": "out"}))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: [stage load] ")
+
+    def test_undecodable_input_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes("entity,s1\nspü1,1.0\n".encode("latin-1"))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"inputs": [str(bad), inputs(1)[0]], "output_dir": "out"}))
         assert main(["run", "--config", str(cfg_path)]) == 2

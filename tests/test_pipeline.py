@@ -232,6 +232,7 @@ class TestRunPipeline:
                     "output_dir": str(tmp_path / "out"),
                     "sigma": "auto",
                     "snf": {"k": 4, "epsilon": 1e-7},
+                    "sma": {"tol": 1e-9},
                     "weights_mode": "rv-rowsum",
                     "seed": 7,
                 }
@@ -240,6 +241,7 @@ class TestRunPipeline:
         cfg = PipelineConfig.from_file(cfg_path)
         assert cfg.sigma is None
         assert cfg.snf.k == 4 and cfg.snf.epsilon == 1e-7
+        assert cfg.sma.tol == 1e-9 and cfg.sma.max_iter == 1000
         assert cfg.weights_mode == "rv-rowsum"
         report = run_pipeline(cfg)
         assert len(report.fusion) == 4

@@ -17,6 +17,7 @@ from multifuse.sma import (
     barycenter_wasserstein,
     check_weights,
     rv_matrix,
+    solve_barycenter,
     uniform_weights,
     weights_frobenius,
     weights_rowsum,
@@ -181,7 +182,7 @@ class TestRiemannianBarycenter:
 
     def test_singular_layer_raises_without_jitter(self):
         sing = np.diag([1.0, 0.0])
-        cfg = BarycenterConfig("riemannian", jitter=0.0)
+        cfg = BarycenterConfig(jitter=0.0)
         with pytest.raises(SingularMatrix):
             barycenter_riemannian([sing, np.eye(2)], [0.5, 0.5], cfg)
 
@@ -206,10 +207,6 @@ class TestRiemannianBarycenter:
         base = barycenter_riemannian(mats, w)
         permuted = barycenter_riemannian([m[np.ix_(perm, perm)] for m in mats], w)
         assert fro_norm(permuted.matrix - base.matrix[np.ix_(perm, perm)]) <= 1e-9
-
-    def test_metric_mismatch_rejected(self):
-        with pytest.raises(InvalidParameter):
-            barycenter_riemannian([np.eye(2)], [1.0], BarycenterConfig("wasserstein"))
 
 
 class TestWassersteinBarycenter:
@@ -244,7 +241,7 @@ class TestWassersteinBarycenter:
     def test_nonconvergence_flagged(self):
         rng = np.random.default_rng(12)
         a, b = rand_spd(rng, 5), rand_spd(rng, 5)
-        cfg = BarycenterConfig("wasserstein", max_iter=1)
+        cfg = BarycenterConfig(max_iter=1)
         res = barycenter_wasserstein([a, b], [0.5, 0.5], cfg)
         assert not res.converged
 
@@ -264,6 +261,26 @@ class TestWassersteinBarycenter:
         base = barycenter_wasserstein(mats, w)
         permuted = barycenter_wasserstein([m[np.ix_(perm, perm)] for m in mats], w)
         assert fro_norm(permuted.matrix - base.matrix[np.ix_(perm, perm)]) <= 1e-9
+
+
+class TestSolveBarycenter:
+    @pytest.mark.parametrize(
+        "metric, solver",
+        [
+            ("frobenius", barycenter_frobenius),
+            ("riemannian", barycenter_riemannian),
+            ("wasserstein", barycenter_wasserstein),
+        ],
+    )
+    def test_dispatches_to_solver(self, metric, solver):
+        rng = np.random.default_rng(18)
+        mats = [rand_spd(rng, 5) for _ in range(3)]
+        w = np.array([0.5, 0.3, 0.2])
+        assert np.array_equal(solve_barycenter(mats, w, metric).matrix, solver(mats, w).matrix)
+
+    def test_unknown_metric_raises(self):
+        with pytest.raises(InvalidParameter):
+            solve_barycenter([np.eye(2), np.eye(2)], [0.5, 0.5], "euclidean")
 
 
 class TestOrderings:

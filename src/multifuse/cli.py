@@ -2,11 +2,13 @@
 
 Exit codes: 0 on success, 2 for configuration or parse problems, 3 for
 numerical failures (singular matrices, and non-convergence under --strict).
+Standard output is UTF-8 whatever the locale, like the artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from .errors import (
 from .pipeline import (
     WEIGHT_MODES,
     PipelineConfig,
+    _csv_field,
     _write_text,
     build_layers,
     dumps_json17,
@@ -186,7 +189,7 @@ def _cmd_cluster(args) -> int:
     part = louvain_communities(layer, resolution=args.resolution, seed=args.seed)
     print("label,community")
     for lab, c in zip(part.labels, part.community):
-        print(f"{lab},{int(c)}")
+        print(f"{_csv_field(lab)},{int(c)}")
     print(f"# modularity {fmt17(part.modularity)}")
     return EXIT_OK
 
@@ -213,6 +216,8 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(encoding="utf-8")  # labels print as UTF-8 under any locale
     try:
         return COMMANDS[args.command](args)
     except (*NUMERIC_ERRORS, NonConvergence, *CONFIG_ERRORS) as exc:

@@ -12,8 +12,9 @@ configuration are byte-identical.
 from __future__ import annotations
 
 import csv
+import io
 import json
-import xml.etree.ElementTree as ET
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -537,20 +538,46 @@ def _write_text(path: Path, text: str):
 
 
 def _csv_text(rows) -> str:
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)
     return buf.getvalue()
 
 
+#: A field without these characters is never quoted by ``csv.writer``.
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+#: How ElementTree escapes an attribute value.
+_XML_ATTR_ESCAPES = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
+)
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted exactly where ``csv.writer`` quotes it."""
+    if _CSV_SPECIAL.search(text) is None:
+        return text
+    return _csv_text([[text]])[:-1]
+
+
+def _rows17(values) -> tuple[str, list]:
+    """A ``%`` template for the last axis of ``values``, and ``values`` as lists.
+
+    ``template % tuple(row)`` joins a row's values with commas, each as
+    ``fmt17`` renders it: adding 0.0 folds -0.0 into 0.0, and ``%.17g`` of a
+    float is ``format(x, ".17g")``.
+    """
+    v = np.asarray(values, dtype=float) + 0.0
+    return ",".join(["%.17g"] * v.shape[-1]), v.tolist()
+
+
 def write_similarity_csv(path, labels, matrix):
     """Labelled full-matrix CSV with 17-significant-digit values."""
-    rows = [[""] + list(labels)]
-    for lab, row in zip(labels, np.asarray(matrix, dtype=float)):
-        rows.append([lab] + [fmt17(v) for v in row])
-    _write_text(Path(path), _csv_text(rows))
+    fields = [_csv_field(str(lab)) for lab in labels]
+    template, rows = _rows17(matrix)
+    lines = [",".join(["", *fields])]
+    lines += [f"{lab},{template % tuple(row)}" for lab, row in zip(fields, rows)]
+    _write_text(Path(path), "\n".join(lines) + "\n")
     return Path(path)
 
 
@@ -605,34 +632,40 @@ def export_graph(layer: SimilarityLayer, partition, fmt: str, path, threshold: f
     iu, ju = np.triu_indices(len(labels), 1)
     w = s[iu, ju]
     keep = w > threshold
-    edges = [(labels[i], labels[j], fmt17(x)) for i, j, x in zip(iu[keep], ju[keep], w[keep])]
+    template, kept = _rows17(w[keep])
+    weights = (template % tuple(kept)).split(",") if kept else []
+    edges = list(zip(iu[keep].tolist(), ju[keep].tolist(), weights))
 
     if fmt == "edge-list":
-        _write_text(path, _csv_text([("source", "target", "weight"), *edges]))
+        fields = [_csv_field(lab) for lab in labels]
+        lines = ["source,target,weight"]
+        lines += [f"{fields[i]},{fields[j]},{x}" for i, j, x in edges]
+        _write_text(path, "\n".join(lines) + "\n")
         return path
 
-    # graphml
-    root = ET.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
-    ET.SubElement(
-        root, "key", id="w", **{"for": "edge"}, attrib={"attr.name": "weight", "attr.type": "double"}
-    )
-    if partition is not None:
-        ET.SubElement(
-            root, "key", id="c", **{"for": "node"}, attrib={"attr.name": "community", "attr.type": "int"}
-        )
-    graph = ET.SubElement(root, "graph", id="G", edgedefault="undirected")
-    for idx, lab in enumerate(labels):
-        node = ET.SubElement(graph, "node", id=lab)
-        if partition is not None:
-            data = ET.SubElement(node, "data", key="c")
-            data.text = str(int(partition.community[idx]))
-    for source, target, weight in edges:
-        edge = ET.SubElement(graph, "edge", source=source, target=target)
-        data = ET.SubElement(edge, "data", key="w")
-        data.text = weight
-    ET.indent(root)
-    text = ET.tostring(root, encoding="unicode", xml_declaration=True) + "\n"
-    _write_text(path, text)
+    # graphml, laid out as ElementTree's indent() and tostring() lay it out
+    ids = [lab.translate(_XML_ATTR_ESCAPES) for lab in labels]
+    lines = [
+        "<?xml version='1.0' encoding='utf-8'?>",
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
+        '  <key attr.name="weight" attr.type="double" id="w" for="edge" />',
+    ]
+    if partition is None:
+        lines.append('  <graph id="G" edgedefault="undirected">')
+        lines += [f'    <node id="{x}" />' for x in ids]
+    else:
+        lines.append('  <key attr.name="community" attr.type="int" id="c" for="node" />')
+        lines.append('  <graph id="G" edgedefault="undirected">')
+        lines += [
+            f'    <node id="{x}">\n      <data key="c">{c}</data>\n    </node>'
+            for x, c in zip(ids, partition.community.tolist())
+        ]
+    lines += [
+        f'    <edge source="{ids[i]}" target="{ids[j]}">\n      <data key="w">{x}</data>\n    </edge>'
+        for i, j, x in edges
+    ]
+    lines += ["  </graph>", "</graphml>"]
+    _write_text(path, "\n".join(lines) + "\n")
     return path
 
 

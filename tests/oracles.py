@@ -2,13 +2,17 @@
 
 Everything here is written from the defining formulas, with scipy (Schur
 based matrix functions) or plain Python loops, sharing no code path with the
-package under test.
+package under test.  The artifact writers' references build their text with
+``csv.writer`` and an ElementTree DOM.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 from scipy.linalg import inv, sqrtm
@@ -206,3 +210,61 @@ def best_two_block(w, gamma=1.0):
             best_q = q
             best = comm
     return best_q, best
+
+
+# -- artifact writers -------------------------------------------------------
+
+
+def _fmt17(x):
+    x = float(x)
+    if x == 0.0:
+        x = 0.0  # fold -0.0
+    return format(x, ".17g")
+
+
+def _csv_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def similarity_csv_reference(labels, matrix):
+    """Text of a labelled full-matrix CSV, one ``csv.writer`` field per value."""
+    rows = [[""] + list(labels)]
+    for lab, row in zip(labels, np.asarray(matrix, dtype=float)):
+        rows.append([lab] + [_fmt17(v) for v in row])
+    return _csv_text(rows)
+
+
+def export_graph_reference(labels, s, community, fmt, threshold):
+    """Text of an edge list, GraphML file or matrix CSV of the network ``s``.
+
+    ``community`` holds one community index per label, or is None.  GraphML
+    is built as an ElementTree DOM, indented and serialized.
+    """
+    if fmt == "csv-matrix":
+        return similarity_csv_reference(labels, s)
+    iu, ju = np.triu_indices(len(labels), 1)
+    w = s[iu, ju]
+    keep = w > threshold
+    edges = [(labels[i], labels[j], _fmt17(x)) for i, j, x in zip(iu[keep], ju[keep], w[keep])]
+    if fmt == "edge-list":
+        return _csv_text([("source", "target", "weight"), *edges])
+    root = ET.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
+    ET.SubElement(
+        root, "key", id="w", **{"for": "edge"}, attrib={"attr.name": "weight", "attr.type": "double"}
+    )
+    if community is not None:
+        ET.SubElement(
+            root, "key", id="c", **{"for": "node"}, attrib={"attr.name": "community", "attr.type": "int"}
+        )
+    graph = ET.SubElement(root, "graph", id="G", edgedefault="undirected")
+    for idx, lab in enumerate(labels):
+        node = ET.SubElement(graph, "node", id=lab)
+        if community is not None:
+            ET.SubElement(node, "data", key="c").text = str(int(community[idx]))
+    for source, target, weight in edges:
+        edge = ET.SubElement(graph, "edge", source=source, target=target)
+        ET.SubElement(edge, "data", key="w").text = weight
+    ET.indent(root)
+    return ET.tostring(root, encoding="unicode", xml_declaration=True) + "\n"

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -166,6 +167,29 @@ class TestCluster:
     def test_invalid_graph_exit_code(self, tmp_path):
         p = matrix_csv(tmp_path, "m.csv", np.eye(3))
         assert main(["cluster", p]) == 2
+
+    def test_labels_are_csv_quoted(self, tmp_path, capsys):
+        labels = ("a,b", 'a"b', "c", "d\ne", "f", "g")
+        p = matrix_csv(tmp_path, "m.csv", block_matrix(), labels)
+        assert main(["cluster", p, "--seed", "1"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines(keepends=True)))
+        assert rows[0] == ["label", "community"]
+        assert [r[0] for r in rows[1:7]] == list(labels)
+        assert len({r[1] for r in rows[1:4]}) == 1
+        assert rows[-1][0].startswith("# modularity ")
+
+    def test_non_ascii_labels_under_ascii_locale(self, tmp_path):
+        p = matrix_csv(tmp_path, "m.csv", block_matrix(), ("spü1", "b", "c", "d", "e", "f"))
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=str(Path(multifuse.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "multifuse.cli", "cluster", p], env=env, capture_output=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.decode("utf-8").splitlines()
+        assert lines[0] == "label,community"
+        assert lines[1].startswith("spü1,")
+        assert lines[-1].startswith("# modularity ")
 
 
 class TestExport:

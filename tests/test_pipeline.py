@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multifuse import pipeline
 from multifuse.errors import EmptyAfterFilter, EmptyTable, InvalidParameter, ParseError
@@ -21,6 +23,7 @@ from multifuse.pipeline import (
     write_similarity_csv,
 )
 from multifuse.simbuild import SimilarityLayer
+from oracles import export_graph_reference, similarity_csv_reference
 
 DATA = Path(__file__).parent / "data" / "synthetic"
 
@@ -152,6 +155,86 @@ class TestExport:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(InvalidParameter):
             export_graph(self.layer(), None, "dot", tmp_path / "x")
+
+
+#: Label characters that need CSV quoting, XML escaping, or neither.
+LABEL_CHARS = 'ab ,"&<>\t\r\nü%'
+TRICKY = ("a,b", 'q"q', "&<>", "t\tb", "c\rr", "n\nl", "spü1", "50%")
+SPECIAL_VALUES = (0.0, -0.0, 0.1, 1e-300, 5e-324, 1.0 / 3.0, 1.0)
+labels_st = st.lists(st.text(LABEL_CHARS, max_size=4), min_size=1, max_size=6, unique=True)
+
+
+@st.composite
+def networks(draw):
+    """Labels, a symmetric [0, 1] matrix, a community vector or None, a threshold."""
+    labels = draw(labels_st)
+    n = len(labels)
+    value = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(0.0, 1.0))
+    s = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            s[i, j] = s[j, i] = draw(value)
+    community = None
+    if draw(st.booleans()):
+        raw = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        community = np.unique(raw, return_inverse=True)[1]
+    # keep every edge, none, or those strictly above one of the weights
+    threshold = draw(st.one_of(st.just(-1.0), st.just(1.0), st.sampled_from(s.ravel().tolist())))
+    return labels, s, community, threshold
+
+
+@st.composite
+def labelled_matrices(draw):
+    """Labels and a square matrix of any finite values, -0.0 included."""
+    labels = draw(labels_st)
+    n = len(labels)
+    value = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+    return labels, np.array(draw(st.lists(value, min_size=n * n, max_size=n * n))).reshape(n, n)
+
+
+class TestWritersMatchReference:
+    """The text writers give the same bytes as csv.writer and ElementTree."""
+
+    def check_export(self, path, labels, s, community, fmt, threshold):
+        layer = SimilarityLayer(labels, s)
+        partition = None if community is None else Partition(layer.labels, community, 0.0)
+        export_graph(layer, partition, fmt, path, threshold)
+        expected = export_graph_reference(layer.labels, layer.S, community, fmt, threshold)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @settings(deadline=None, max_examples=60)
+    @given(net=labelled_matrices())
+    @example(net=(["spü1"], np.array([[-0.0]])))
+    def test_similarity_csv(self, tmp_path_factory, net):
+        labels, m = net
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        write_similarity_csv(path, labels, m)
+        assert path.read_bytes() == similarity_csv_reference(labels, m).encode("utf-8")
+
+    @pytest.mark.parametrize("fmt", pipeline.EXPORT_FORMATS)
+    @settings(deadline=None, max_examples=60)
+    @given(net=networks())
+    def test_export(self, tmp_path_factory, fmt, net):
+        labels, s, community, threshold = net
+        self.check_export(tmp_path_factory.mktemp("g") / "out", labels, s, community, fmt, threshold)
+
+    @pytest.mark.parametrize("fmt", pipeline.EXPORT_FORMATS)
+    @pytest.mark.parametrize("with_partition", [False, True])
+    @pytest.mark.parametrize("threshold", [-1.0, 0.1, 1.0], ids=["all", "some", "none"])
+    def test_tricky_labels(self, tmp_path, fmt, with_partition, threshold):
+        n = len(TRICKY)
+        s = np.full((n, n), 0.1)
+        s[::2, ::2] = 1e-300
+        s[1::3, :] = s[:, 1::3] = -0.0
+        s[0, 1] = s[1, 0] = 0.75
+        np.fill_diagonal(s, 1.0)
+        community = np.arange(n) % 3 if with_partition else None
+        self.check_export(tmp_path / "out", TRICKY, s, community, fmt, threshold)
+
+    @pytest.mark.parametrize("fmt", pipeline.EXPORT_FORMATS)
+    @pytest.mark.parametrize("community", [None, np.array([0])], ids=["plain", "partition"])
+    def test_single_node(self, tmp_path, fmt, community):
+        self.check_export(tmp_path / "out", ('a"&ü',), np.array([[1.0]]), community, fmt, 0.0)
 
 
 class TestRunPipeline:

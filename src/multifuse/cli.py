@@ -24,17 +24,15 @@ from .errors import (
     SingularMatrix,
 )
 from .pipeline import (
+    EXPORT_FORMATS,
     WEIGHT_MODES,
     PipelineConfig,
     _csv_field,
     _write_text,
-    build_layers,
     dumps_json17,
     export_graph,
-    filter_entities,
     fmt17,
-    fuse_method,
-    load_abundance_tables,
+    fuse_stages,
     load_similarity_csv,
     run_pipeline,
     write_similarity_csv,
@@ -119,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_export = sub.add_parser("export", help="export a matrix CSV as a graph file")
     p_export.add_argument("matrix")
-    p_export.add_argument("--format", required=True, choices=["edge-list", "graphml", "csv-matrix"])
+    p_export.add_argument("--format", required=True, choices=EXPORT_FORMATS)
     p_export.add_argument("--out", required=True, help="output file")
     p_export.add_argument("--threshold", type=float, default=0.0, help="drop edges at or below this weight")
     p_export.add_argument("--resolution", type=float, default=1.0, help="Louvain resolution (graphml)")
@@ -152,12 +150,10 @@ def _cmd_fuse(args) -> int:
         snf=_present(k=args.k, epsilon=args.epsilon, max_iter=args.max_iter),
         sma=_present(tol=args.tol, max_iter=args.max_iter, jitter=args.jitter),
     ))
-    tables, _ = filter_entities(load_abundance_tables(cfg.inputs))
-    multiplex, sigmas = build_layers(tables, cfg.sigma)
-    result = fuse_method(multiplex, method, cfg)
+    multiplex, _, sigmas, _, fusion, monoplexes = fuse_stages(cfg)
+    result, layer = fusion[method], monoplexes[method]
 
     out = Path(cfg.output_dir)
-    layer = result.as_layer()
     write_similarity_csv(out / f"monoplex_{method}.csv", layer.labels, layer.S)
     summary = {
         "method": method,

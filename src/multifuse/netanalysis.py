@@ -144,13 +144,9 @@ def _modularity_value(w: np.ndarray, comm: np.ndarray, resolution: float) -> flo
 
 
 def _renumber(comm: np.ndarray) -> np.ndarray:
-    mapping: dict[int, int] = {}
-    out = np.empty_like(comm)
-    for i, c in enumerate(comm):
-        if c not in mapping:
-            mapping[c] = len(mapping)
-        out[i] = mapping[c]
-    return out
+    """Community indices 0, 1, ... in order of first occurrence."""
+    _, first, inverse = np.unique(comm, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
 
 
 def _greedy_pass(w: np.ndarray, resolution: float, rng) -> tuple[bool, np.ndarray]:
@@ -169,17 +165,14 @@ def _greedy_pass(w: np.ndarray, resolution: float, rng) -> tuple[bool, np.ndarra
             tot[c_old] -= k[i]
             links = np.bincount(comm, weights=w[i], minlength=n)
             links[c_old] -= w[i, i]
-            # Score differences are proportional to modularity gains; ties
-            # fall to the smallest community index via the ascending scan.
-            base = links[c_old] - resolution * k[i] * tot[c_old] / two_m
-            best_c, best_score = c_old, base
-            for c in np.flatnonzero(links > 0):
-                if c == c_old:
-                    continue
-                score = links[c] - resolution * k[i] * tot[c] / two_m
-                if score > best_score:
-                    best_c, best_score = c, score
-            gain = 2.0 * (best_score - base) / two_m
+            # Score differences are proportional to modularity gains.  The
+            # best linked community (argmax: the smallest index among ties)
+            # wins if it beats staying in c_old by more than GAIN_TOL.
+            score = links - resolution * k[i] * tot / two_m
+            base = score[c_old]
+            score[links <= 0] = -np.inf
+            best_c = int(np.argmax(score))
+            gain = 2.0 * (score[best_c] - base) / two_m
             if best_c != c_old and gain > GAIN_TOL:
                 comm[i] = best_c
                 moved = True

@@ -12,10 +12,11 @@ configuration are byte-identical.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,7 @@ __all__ = [
     "load_abundance_tables",
     "filter_entities",
     "run_pipeline",
+    "fuse_stages",
     "fuse_method",
     "export_graph",
     "load_similarity_csv",
@@ -57,6 +59,7 @@ __all__ = [
     "dumps_json17",
     "ALL_METHODS",
     "WEIGHT_MODES",
+    "EXPORT_FORMATS",
 ]
 
 ALL_METHODS = ("snf", "sma-frobenius", "sma-riemannian", "sma-wasserstein")
@@ -160,20 +163,23 @@ def _parse_abundance_csv(path: Path) -> AbundanceTable:
         if entity in seen:
             raise ParseError(f"{path}:{lineno}: duplicate entity id {entity!r}")
         seen.add(entity)
-        parsed = []
-        for cell in row[1:]:
-            try:
-                val = float(cell)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: not a number: {cell!r}") from exc
-            if not np.isfinite(val):
-                raise ParseError(f"{path}:{lineno}: non-finite value {cell!r}")
-            if val < 0:
-                raise ParseError(f"{path}:{lineno}: negative value {cell!r}")
-            parsed.append(val)
+        try:
+            values.append(list(map(float, row[1:])))
+        except ValueError:
+            for cell in row[1:]:
+                try:
+                    float(cell)
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: not a number: {cell!r}") from exc
         ids.append(entity)
-        values.append(parsed)
-    return AbundanceTable(path.stem, tuple(ids), site_ids, np.array(values))
+    v = np.array(values)
+    bad = np.argwhere(~((v >= 0) & (v < np.inf)))  # negative, infinite or nan
+    if len(bad):
+        r, c = bad[0]
+        lineno, row = numbered[r + 1]
+        kind = "negative" if np.isfinite(v[r, c]) else "non-finite"
+        raise ParseError(f"{path}:{lineno}: {kind} value {row[c + 1]!r}")
+    return AbundanceTable(path.stem, tuple(ids), site_ids, v)
 
 
 def load_abundance_tables(paths) -> list[AbundanceTable]:
@@ -185,15 +191,13 @@ def load_abundance_tables(paths) -> list[AbundanceTable]:
     tables = [_parse_abundance_csv(Path(p)) for p in paths]
     if not tables:
         raise InvalidInput("no input files given")
-    universe = sorted(set().union(*(set(t.entity_ids) for t in tables)))
+    universe = tuple(sorted(set().union(*(t.entity_ids for t in tables))))
+    row_of = {e: i for i, e in enumerate(universe)}
     out = []
     for t in tables:
-        index = {e: i for i, e in enumerate(t.entity_ids)}
         vals = np.zeros((len(universe), len(t.site_ids)))
-        for row, entity in enumerate(universe):
-            if entity in index:
-                vals[row] = t.values[index[entity]]
-        out.append(AbundanceTable(t.layer_name, tuple(universe), t.site_ids, vals))
+        vals[[row_of[e] for e in t.entity_ids]] = t.values
+        out.append(AbundanceTable(t.layer_name, universe, t.site_ids, vals))
     return out
 
 
@@ -237,32 +241,20 @@ def filter_entities(tables) -> tuple[list[AbundanceTable], FilterLog]:
         if t.entity_ids != ids:
             raise InvalidInput("tables must share one entity universe")
     present = np.stack([t.values.sum(axis=1) > 0 for t in tables])  # (m, n)
-
-    everywhere_absent = ~present.any(axis=0)
-    pass1 = tuple(e for e, gone in zip(ids, everywhere_absent) if gone)
-
-    partial = []
-    keep = []
-    for col, entity in enumerate(ids):
-        if everywhere_absent[col]:
-            continue
-        absent_layers = tuple(
-            t.layer_name for t, here in zip(tables, present[:, col]) if not here
-        )
-        if absent_layers:
-            partial.append((entity, absent_layers))
-        else:
-            keep.append(entity)
-    if not keep:
+    somewhere, keep = present.any(axis=0), present.all(axis=0)
+    if not keep.any():
         raise EmptyAfterFilter("every entity was removed by the filters")
 
-    keep_idx = [ids.index(e) for e in keep]
+    names = [t.layer_name for t in tables]
+    partial = tuple(
+        (ids[col], tuple(compress(names, ~present[:, col])))
+        for col in np.flatnonzero(somewhere & ~keep)
+    )
+    retained = tuple(compress(ids, keep))
     filtered = [
-        AbundanceTable(t.layer_name, tuple(keep), t.site_ids, t.values[keep_idx])
-        for t in tables
+        AbundanceTable(t.layer_name, retained, t.site_ids, t.values[keep]) for t in tables
     ]
-    log = FilterLog(len(ids), pass1, tuple(partial), tuple(keep))
-    return filtered, log
+    return filtered, FilterLog(len(ids), tuple(compress(ids, ~somewhere)), partial, retained)
 
 
 @dataclass
@@ -449,70 +441,79 @@ def _pick_weights(mode: str, method: str, rv) -> np.ndarray:
     return weights_rowsum(rv)
 
 
-def fuse_method(multiplex: Multiplex, method: str, cfg: PipelineConfig, rv=None) -> FusionResult:
+def fuse_method(multiplex: Multiplex, method: str, cfg: PipelineConfig, rv) -> FusionResult:
     """Fuse ``multiplex`` with one of ``ALL_METHODS`` under ``cfg``'s settings.
 
-    Barycenters take their layer weights from ``cfg.weights_mode``; ``rv`` is
-    the layers' RV matrix, computed here when not given.
+    Barycenters take their layer weights from ``cfg.weights_mode`` and ``rv``,
+    the layers' RV matrix.
     """
     if method == "snf":
         return snf_fuse(multiplex, cfg.snf)
-    rv = rv_matrix(multiplex) if rv is None else rv
     w = _pick_weights(cfg.weights_mode, method, rv)
     return solve_barycenter(multiplex, w, method.removeprefix("sma-"), cfg.sma)
+
+
+@contextmanager
+def stage(name: str):
+    """Add an ``[stage <name>]`` note to an error raised in the block, and re-raise it."""
+    try:
+        yield
+    except Exception as exc:
+        exc.add_note(f"[stage {name}]")
+        raise
+
+
+def fuse_stages(cfg: PipelineConfig):
+    """The stages ``run`` and ``fuse`` share: load, filter, similarity, weights, one per method.
+
+    Returns the multiplex, the filter log, the RBF bandwidths, the weight
+    tables, and the fusion results and monoplex layers keyed by method.
+    """
+    with stage("load"):
+        tables = load_abundance_tables(cfg.inputs)
+    with stage("filter"):
+        tables, flog = filter_entities(tables)
+    with stage("similarity"):
+        multiplex, sigmas = build_layers(tables, cfg.sigma)
+    with stage("weights"):
+        rv = rv_matrix(multiplex)
+        weight_tables: dict[str, list[float] | None] = {}
+        for name, fn in (("frobenius", weights_frobenius), ("rowsum", weights_rowsum)):
+            try:
+                weight_tables[name] = [float(x) for x in fn(rv)]
+            except (DegenerateSpectrum, InvalidInput):
+                weight_tables[name] = None
+    fusion: dict[str, FusionResult] = {}
+    monoplexes: dict[str, SimilarityLayer] = {}
+    for method in cfg.methods:
+        with stage(method):
+            fusion[method] = fuse_method(multiplex, method, cfg, rv)
+            monoplexes[method] = fusion[method].as_layer()
+    return multiplex, flog, sigmas, weight_tables, fusion, monoplexes
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunReport:
     """Run the whole workflow and write all artifacts to ``cfg.output_dir``.
 
-    Stages: load, filter, build RBF layers, fuse with every requested
-    method, correlate, cluster, export.  Fully deterministic for a fixed
-    configuration and inputs.  An error raised inside a stage propagates
-    as is, with an ``[stage <name>]`` note added.
+    After ``fuse_stages``: dcor (between the monoplexes, and of the SNF
+    monoplex against each layer), cluster, write.  Fully deterministic for a
+    fixed configuration and inputs.  An error raised inside a stage
+    propagates as is, with an ``[stage <name>]`` note added.
     """
-    out_dir = Path(cfg.output_dir)
-
-    def stage(name, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except Exception as exc:
-            exc.add_note(f"[stage {name}]")
-            raise
-
-    tables = stage("load", load_abundance_tables, cfg.inputs)
-    tables, flog = stage("filter", filter_entities, tables)
-    multiplex, sigmas = stage("similarity", build_layers, tables, cfg.sigma)
-
-    rv = rv_matrix(multiplex)
-    weight_tables: dict[str, list[float] | None] = {}
-    for name, fn in (("frobenius", weights_frobenius), ("rowsum", weights_rowsum)):
-        try:
-            weight_tables[name] = [float(x) for x in fn(rv)]
-        except (DegenerateSpectrum, InvalidInput):
-            weight_tables[name] = None
-
-    fusion: dict[str, FusionResult] = {
-        method: stage(method, fuse_method, multiplex, method, cfg, rv) for method in cfg.methods
-    }
-
-    mono_layers = {name: r.as_layer() for name, r in fusion.items()}
-    names = tuple(fusion.keys())
-    mono_dcor = stage(
-        "dcor", correlation_table, names, [mono_layers[n] for n in names]
-    )
-
-    snf_layer = ()
-    if "snf" in fusion:
-        snf_layer = tuple(
-            (lname, distance_correlation(mono_layers["snf"], lay))
-            for lname, lay in zip(multiplex.names, multiplex.layers)
-        )
-
-    partitions = {
-        name: stage("cluster", louvain_communities, lay, cfg.resolution, cfg.seed)
-        for name, lay in mono_layers.items()
-    }
-
+    multiplex, flog, sigmas, weight_tables, fusion, monoplexes = fuse_stages(cfg)
+    with stage("dcor"):
+        mono_dcor = correlation_table(tuple(monoplexes), monoplexes.values())
+        snf_layer = ()
+        if "snf" in monoplexes:
+            snf_layer = tuple(
+                (lname, distance_correlation(monoplexes["snf"], lay))
+                for lname, lay in zip(multiplex.names, multiplex.layers)
+            )
+    with stage("cluster"):
+        partitions = {
+            name: louvain_communities(lay, cfg.resolution, cfg.seed)
+            for name, lay in monoplexes.items()
+        }
     report = RunReport(
         layer_names=multiplex.names,
         filter_log=flog,
@@ -523,7 +524,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
         snf_layer_dcor=snf_layer,
         partitions=partitions,
     )
-    stage("write", _write_artifacts, out_dir, cfg, multiplex, report, mono_layers)
+    with stage("write"):
+        _write_artifacts(Path(cfg.output_dir), cfg, multiplex, report, monoplexes)
     return report
 
 
@@ -537,14 +539,7 @@ def _write_text(path: Path, text: str):
         fh.write(text)
 
 
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-#: A field without these characters is never quoted by ``csv.writer``.
+#: A CSV field holding one of these characters is quoted.
 _CSV_SPECIAL = re.compile('[,"\r\n]')
 
 #: How ElementTree escapes an attribute value.
@@ -554,10 +549,14 @@ _XML_ATTR_ESCAPES = str.maketrans(
 
 
 def _csv_field(text: str) -> str:
-    """``text`` as one CSV field, quoted exactly where ``csv.writer`` quotes it."""
+    """``text`` as one CSV field: if it holds ``,``, ``"``, CR or LF, quoted with ``"`` doubled."""
     if _CSV_SPECIAL.search(text) is None:
         return text
-    return _csv_text([[text]])[:-1]
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _csv_text(rows) -> str:
+    return "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
 
 
 def _rows17(values) -> tuple[str, list]:
@@ -591,7 +590,7 @@ def load_similarity_csv(path) -> SimilarityLayer:
         raise ParseError(f"{path}: {exc}") from exc
     if len(rows) < 2:
         raise ParseError(f"{path}: expected a header and at least one row")
-    labels = tuple(h.strip() for h in rows[0][1:])
+    labels = tuple(rows[0][1:])
     n = len(labels)
     values = np.zeros((n, n))
     if len(rows) != n + 1:
@@ -599,7 +598,7 @@ def load_similarity_csv(path) -> SimilarityLayer:
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != n + 1:
             raise ParseError(f"{path}:{i}: expected {n + 1} cells, got {len(row)}")
-        if row[0].strip() != labels[i - 2]:
+        if row[0] != labels[i - 2]:
             raise ParseError(
                 f"{path}:{i}: row label {row[0]!r} does not match header order"
             )

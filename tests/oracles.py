@@ -198,6 +198,56 @@ def modularity_reference(w, comm, gamma=1.0):
     return q
 
 
+def renumber_reference(comm):
+    """Community indices 0, 1, ... in order of first occurrence, by a dict scan."""
+    mapping = {}
+    out = np.empty_like(comm)
+    for i, c in enumerate(comm):
+        if c not in mapping:
+            mapping[c] = len(mapping)
+        out[i] = mapping[c]
+    return out
+
+
+def greedy_pass_reference(w, resolution, rng):
+    """Louvain's local-move phase with a per-community candidate loop.
+
+    Same sweep order, scores and 1e-12 gain threshold as the package; the
+    ascending scan with a strict ``>`` breaks ties toward the smallest index.
+    """
+    n = w.shape[0]
+    k = w.sum(axis=1)
+    two_m = float(w.sum())
+    comm = np.arange(n)
+    tot = k.copy()
+    order = rng.permutation(n)
+    moved_any = False
+    while True:
+        moved = False
+        for i in order:
+            c_old = comm[i]
+            tot[c_old] -= k[i]
+            links = np.bincount(comm, weights=w[i], minlength=n)
+            links[c_old] -= w[i, i]
+            base = links[c_old] - resolution * k[i] * tot[c_old] / two_m
+            best_c, best_score = c_old, base
+            for c in np.flatnonzero(links > 0):
+                if c == c_old:
+                    continue
+                score = links[c] - resolution * k[i] * tot[c] / two_m
+                if score > best_score:
+                    best_c, best_score = c, score
+            gain = 2.0 * (best_score - base) / two_m
+            if best_c != c_old and gain > 1e-12:
+                comm[i] = best_c
+                moved = True
+                moved_any = True
+            tot[comm[i]] += k[i]
+        if not moved:
+            break
+    return moved_any, renumber_reference(comm)
+
+
 def best_two_block(w, gamma=1.0):
     """Exhaustive search over all 2-block partitions (node 0 fixed)."""
     n = w.shape[0]
@@ -223,9 +273,17 @@ def _fmt17(x):
 
 
 def _csv_text(rows):
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+    """``csv.writer`` rows ended by LF, quoting a field that holds CR as well as LF.
+
+    Each row is written with a CRLF terminator, which makes ``csv.writer``
+    quote both characters, and its terminator is then replaced by LF.
+    """
+    lines = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines)
 
 
 def similarity_csv_reference(labels, matrix):

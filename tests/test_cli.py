@@ -35,6 +35,15 @@ def block_matrix():
     return s
 
 
+def command_args(command, tmp_path, paths):
+    """``run`` (through a config file) or ``fuse --method snf`` over ``paths``."""
+    if command == "fuse":
+        return ["fuse", "--method", "snf", "--inputs", *paths, "--out", str(tmp_path / "out")]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"inputs": paths, "output_dir": str(tmp_path / "out")}))
+    return ["run", "--config", str(cfg_path)]
+
+
 class TestFuse:
     def test_snf(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -116,6 +125,21 @@ class TestFuse:
         )
         assert code == 3
 
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"entity,s1\nx,abc\n", "entity,s1\nsp\xfc1,1.0\n".encode("latin-1")],
+        ids=["non-numeric", "undecodable"],
+    )
+    def test_load_error_line_matches_run(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        lines = []
+        for command in ("fuse", "run"):
+            assert main(command_args(command, tmp_path, [str(bad), inputs(1)[0]])) == 2
+            lines.append(capsys.readouterr().err)
+        assert lines[0] == lines[1]
+        assert lines[0].startswith(f"error: [stage load] {bad}")
 
     @pytest.mark.parametrize(
         "flag, method, extra_args, extra_cfg",
@@ -295,12 +319,11 @@ class TestRun:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
-    def test_stage_note_on_error_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["run", "fuse"])
+    def test_stage_note_on_error_line(self, tmp_path, capsys, command):
         bad = tmp_path / "bad.csv"
         bad.write_text("entity,s1\nx,oops\n")
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"inputs": [str(bad), inputs(1)[0]], "output_dir": "out"}))
-        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert main(command_args(command, tmp_path, [str(bad), inputs(1)[0]])) == 2
         assert capsys.readouterr().err.startswith("error: [stage load] ")
 
     def test_undecodable_input_exit_code(self, tmp_path, capsys):

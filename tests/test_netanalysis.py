@@ -1,8 +1,12 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from multifuse import netanalysis
 from multifuse.errors import DimensionError, InvalidInput, InvalidParameter
 from multifuse.netanalysis import (
     CorrelationTable,
@@ -14,7 +18,13 @@ from multifuse.netanalysis import (
 )
 from multifuse.simbuild import SimilarityLayer
 
-from oracles import best_two_block, dcor_reference, modularity_reference
+from oracles import (
+    best_two_block,
+    dcor_reference,
+    greedy_pass_reference,
+    modularity_reference,
+    renumber_reference,
+)
 
 
 def rand_similarity(rng, n):
@@ -190,6 +200,44 @@ class TestLouvain:
             part = louvain_communities(s, seed=seed)
             uniq = np.unique(part.community)
             assert np.array_equal(uniq, np.arange(uniq.size))
+
+
+@st.composite
+def integer_graphs(draw):
+    """Symmetric graphs with small integer weights (many exact ties), often with isolated nodes."""
+    n = draw(st.integers(2, 12))
+    upper = draw(st.lists(st.sampled_from([0, 1, 1, 2]), min_size=n * n, max_size=n * n))
+    w = np.triu(np.array(upper, dtype=float).reshape(n, n), 1)
+    isolated = draw(st.lists(st.integers(0, n - 1), max_size=n // 2))
+    w[isolated, :] = w[:, isolated] = 0.0
+    assume(w.sum() > 0)
+    return w + w.T
+
+
+class TestLouvainMatchesLoopReference:
+    """The vectorised candidate scan and renumbering give the loops' partition."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        w=integer_graphs(),
+        resolution=st.sampled_from([0.3, 0.5, 1.0, 1.5, 2.0, 4.0]),
+        seed=st.integers(0, 5),
+    )
+    # a 4-cycle whose sweep meets a two-way tie: the highest index would give [0, 0, 1, 1]
+    @example(w=np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]], float),
+             resolution=1.0, seed=0)
+    def test_same_partition(self, w, resolution, seed):
+        got = louvain_communities(w, resolution, seed)
+        with mock.patch.object(netanalysis, "_greedy_pass", greedy_pass_reference), \
+                mock.patch.object(netanalysis, "_renumber", renumber_reference):
+            want = louvain_communities(w, resolution, seed)
+        assert np.array_equal(got.community, want.community)
+        assert got.modularity == want.modularity
+
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=20))
+    def test_renumber_by_first_occurrence(self, comm):
+        comm = np.array(comm)
+        assert np.array_equal(netanalysis._renumber(comm), renumber_reference(comm))
 
 
 class TestModularity:

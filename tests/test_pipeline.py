@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multifuse import pipeline
-from multifuse.errors import EmptyAfterFilter, EmptyTable, InvalidParameter, ParseError
+from multifuse.errors import EmptyAfterFilter, EmptyTable, InvalidInput, InvalidParameter, ParseError
 from multifuse.netanalysis import Partition
 from multifuse.pipeline import (
     AbundanceTable,
@@ -69,6 +69,65 @@ class TestLoad:
         p = write_csv(tmp_path / "a.csv", "entity,s1\nx,abc\n")
         with pytest.raises(ParseError, match="not a number"):
             load_abundance_tables([p])
+
+    @pytest.mark.parametrize("cell", ["inf", "nan"])
+    def test_non_finite_cell(self, tmp_path, cell):
+        p = write_csv(tmp_path / "a.csv", f"entity,s1,s2\nx,1.0,0.5\ny,0.2,{cell}\nz,0.1,0.1\n")
+        with pytest.raises(ParseError, match=f"a.csv:3: non-finite value '{cell}'"):
+            load_abundance_tables([p])
+
+
+@st.composite
+def layer_id_sets(draw):
+    """Two to four layers, each a few entity ids from a shared pool with 0/positive rows."""
+    pool = [f"e{i}" for i in range(8)]
+    layers = []
+    for _ in range(draw(st.integers(2, 4))):
+        ids = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool), unique=True))
+        sites = draw(st.integers(1, 3))
+        cell = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.25])
+        rows = draw(st.lists(st.lists(cell, min_size=sites, max_size=sites),
+                             min_size=len(ids), max_size=len(ids)))
+        layers.append(dict(zip(ids, rows)))
+    return layers
+
+
+class TestAlignAndFilterMatchDictReference:
+    """Union alignment and the two-pass filter against a plain-dict reference."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(layers=layer_id_sets())
+    def test_random_id_sets(self, tmp_path_factory, layers):
+        root = tmp_path_factory.mktemp("in")
+        paths = []
+        for l, rows in enumerate(layers):
+            sites = len(next(iter(rows.values())))
+            text = "entity," + ",".join(f"s{j}" for j in range(sites)) + "\n"
+            text += "".join(e + "," + ",".join(map(repr, r)) + "\n" for e, r in rows.items())
+            paths.append(write_csv(root / f"l{l}.csv", text))
+        universe = sorted(set().union(*layers))
+        tables = load_abundance_tables(paths)
+        for t, rows in zip(tables, layers):
+            assert t.entity_ids == tuple(universe)
+            zero = [0.0] * len(t.site_ids)
+            assert t.values.tolist() == [rows.get(e, zero) for e in universe]
+
+        names = [f"l{l}" for l in range(len(layers))]
+        absent = {e: [n for n, rows in zip(names, layers) if sum(rows.get(e, [0.0])) == 0]
+                  for e in universe}
+        everywhere = tuple(e for e in universe if len(absent[e]) == len(layers))
+        partial = tuple((e, tuple(absent[e])) for e in universe if 0 < len(absent[e]) < len(layers))
+        retained = tuple(e for e in universe if not absent[e])
+        if not retained:
+            with pytest.raises(EmptyAfterFilter):
+                filter_entities(tables)
+            return
+        filtered, log = filter_entities(tables)
+        assert (log.total, log.removed_everywhere, log.removed_partial, log.retained) == (
+            len(universe), everywhere, partial, retained)
+        for t, rows in zip(filtered, layers):
+            assert t.entity_ids == retained
+            assert t.values.tolist() == [rows[e] for e in retained]
 
 
 class TestFilter:
@@ -190,6 +249,22 @@ def labelled_matrices(draw):
     n = len(labels)
     value = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(allow_nan=False, allow_infinity=False))
     return labels, np.array(draw(st.lists(value, min_size=n * n, max_size=n * n))).reshape(n, n)
+
+
+class TestMatrixCsvRoundTrip:
+    """Matrix CSVs read back every label and value they were written with."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(net=networks())
+    @example(net=(["c\rr", "b"], np.array([[1.0, 0.5], [0.5, 1.0]]), None, 0.0))
+    @example(net=([" a", "a "], np.array([[1.0, -0.0], [-0.0, 5e-324]]), None, 0.0))
+    def test_labels_and_values_roundtrip(self, tmp_path_factory, net):
+        labels, s, _, _ = net
+        path = tmp_path_factory.mktemp("m") / "m.csv"
+        write_similarity_csv(path, labels, s)
+        back = load_similarity_csv(path)
+        assert back.labels == tuple(labels)
+        assert back.S.tobytes() == (s + 0.0).tobytes()  # bit-equal, -0.0 written as 0
 
 
 class TestWritersMatchReference:
@@ -328,6 +403,23 @@ class TestRunPipeline:
         assert cfg.weights_mode == "rv-rowsum"
         report = run_pipeline(cfg)
         assert len(report.fusion) == 4
+
+    @pytest.mark.parametrize("metric", ["frobenius", "riemannian", "wasserstein"])
+    def test_out_of_range_monoplex_names_its_method(self, tmp_path, monkeypatch, metric):
+        solve = pipeline.solve_barycenter
+
+        def stretched(layers, w, name, cfg):
+            result = solve(layers, w, name, cfg)
+            if name == metric:
+                result.matrix = result.matrix * 2.0
+            return result
+
+        monkeypatch.setattr(pipeline, "solve_barycenter", stretched)
+        cfg = PipelineConfig(inputs=self.paths()[:3], output_dir=str(tmp_path / "out"))
+        with pytest.raises(InvalidInput, match=r"outside \[0, 1\]") as info:
+            run_pipeline(cfg)
+        assert info.value.__notes__ == [f"[stage sma-{metric}]"]
+        assert not (tmp_path / "out").exists()
 
     def test_stage_error_keeps_type_and_attributes(self, tmp_path, monkeypatch):
         def denied(paths):

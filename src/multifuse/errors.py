@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the parameter type check."""
 
+import math
 import numbers
 from dataclasses import fields
 
@@ -48,8 +49,8 @@ def check_field_types(cfg):
     """Raise ``InvalidParameter`` unless each int, float or tuple field holds one.
 
     ``cfg`` is a dataclass whose annotations are strings.  A bool is not a
-    number, a list passes as a tuple, and ``None`` passes only where the
-    annotation ends in ``| None``.
+    number, a float field must be finite, a list passes as a tuple, and
+    ``None`` passes only where the annotation ends in ``| None``.
     """
     accepted = {"int": numbers.Integral, "float": numbers.Real, "tuple": (list, tuple)}
     for f in fields(cfg):
@@ -59,3 +60,5 @@ def check_field_types(cfg):
             continue
         if isinstance(value, bool) or not isinstance(value, wanted):
             raise InvalidParameter(f"{f.name} must be of type {f.type}, got {value!r}")
+        if wanted is numbers.Real and not math.isfinite(value):
+            raise InvalidParameter(f"{f.name} must be finite, got {value!r}")

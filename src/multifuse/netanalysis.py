@@ -9,6 +9,7 @@ sweep over the weighted graph with self-loops excluded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,8 +198,8 @@ def louvain_communities(S, resolution: float = 1.0, seed: int = 0) -> Partition:
     information).  The node sweep order is drawn from a generator seeded
     with ``seed``, making the partition fully deterministic.
     """
-    if not resolution > 0:
-        raise InvalidParameter("resolution must be positive")
+    if not 0 < resolution < math.inf:
+        raise InvalidParameter(f"resolution must be positive and finite, got {resolution!r}")
     labels, w = _graph_weights(S)
     if w.sum() <= 0:
         raise InvalidInput("graph has no positive off-diagonal weight")
@@ -221,8 +222,8 @@ def modularity(S, partition, resolution: float = 1.0) -> float:
 
     A graph with no off-diagonal weight scores 0 by convention.
     """
-    if not resolution > 0:
-        raise InvalidParameter("resolution must be positive")
+    if not 0 < resolution < math.inf:
+        raise InvalidParameter(f"resolution must be positive and finite, got {resolution!r}")
     labels, w = _graph_weights(S)
     if isinstance(partition, Partition):
         if partition.labels != labels:

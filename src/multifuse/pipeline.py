@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    DegenerateSpectrum,
     EmptyAfterFilter,
     EmptyTable,
     InvalidInput,
@@ -135,17 +134,29 @@ class AbundanceTable:
         self.values = v
 
 
-def _parse_abundance_csv(path: Path) -> AbundanceTable:
+def _read_csv_records(path: Path) -> list[tuple[int, list[str]]]:
+    """The nonblank records of a UTF-8 CSV file, each with the file line it starts on."""
+    numbered = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            numbered = [(i, row) for i, row in enumerate(csv.reader(fh), start=1) if row]
+            reader = csv.reader(fh)
+            first = 1
+            for row in reader:
+                if row:
+                    numbered.append((first, row))
+                first = reader.line_num + 1
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    return numbered
+
+
+def _parse_abundance_csv(path: Path) -> AbundanceTable:
+    numbered = _read_csv_records(path)
     if not numbered:
         raise ParseError(f"{path}: file is empty")
-    header = numbered[0][1]
+    lineno, header = numbered[0]
     if len(header) < 2:
-        raise ParseError(f"{path}:1: header needs an entity column and at least one site")
+        raise ParseError(f"{path}:{lineno}: header needs an entity column and at least one site")
     site_ids = tuple(h.strip() for h in header[1:])
     if len(numbered) == 1:
         raise EmptyTable(f"{path}: header only, no entities")
@@ -367,7 +378,7 @@ class RunReport:
     layer_names: tuple[str, ...]
     filter_log: FilterLog
     sigmas: dict[str, float]
-    weight_tables: dict[str, list[float] | None]
+    weight_tables: dict[str, np.ndarray]
     fusion: dict[str, FusionResult]
     monoplex_dcor: CorrelationTable
     snf_layer_dcor: tuple[tuple[str, float], ...]
@@ -382,10 +393,7 @@ class RunReport:
             },
             "filter": self.filter_log.to_dict(),
             "rbf_sigma": dict(self.sigmas),
-            "weight_tables": {
-                k: (list(v) if v is not None else None)
-                for k, v in self.weight_tables.items()
-            },
+            "weight_tables": {k: list(v) for k, v in self.weight_tables.items()},
             "fusion": {
                 name: {
                     "method": r.method,
@@ -428,28 +436,24 @@ def build_layers(tables, sigma: float | None = None) -> tuple[Multiplex, dict[st
     return mx, sigmas
 
 
-def _pick_weights(mode: str, method: str, rv) -> np.ndarray:
-    if mode == "uniform":
-        return uniform_weights(len(rv))
-    if mode == "rv-leading-eigenvector":
-        return weights_frobenius(rv)
-    if mode == "rv-rowsum":
-        return weights_rowsum(rv)
-    # paired: each barycenter gets its natural companion
-    if method == "sma-frobenius":
-        return weights_frobenius(rv)
-    return weights_rowsum(rv)
-
-
-def fuse_method(multiplex: Multiplex, method: str, cfg: PipelineConfig, rv) -> FusionResult:
+def fuse_method(
+    multiplex: Multiplex, method: str, cfg: PipelineConfig, tables: dict[str, np.ndarray]
+) -> FusionResult:
     """Fuse ``multiplex`` with one of ``ALL_METHODS`` under ``cfg``'s settings.
 
-    Barycenters take their layer weights from ``cfg.weights_mode`` and ``rv``,
-    the layers' RV matrix.
+    Barycenters read their layer weights from ``tables``, the ``frobenius``
+    and ``rowsum`` weight tables, as ``cfg.weights_mode`` names: ``paired``
+    gives the Frobenius mean ``frobenius`` and the metric means ``rowsum``.
     """
     if method == "snf":
         return snf_fuse(multiplex, cfg.snf)
-    w = _pick_weights(cfg.weights_mode, method, rv)
+    mode = cfg.weights_mode
+    if mode == "uniform":
+        w = uniform_weights(multiplex.m)
+    elif mode == "rv-leading-eigenvector" or (mode == "paired" and method == "sma-frobenius"):
+        w = tables["frobenius"]
+    else:  # rv-rowsum, or paired for a metric mean
+        w = tables["rowsum"]
     return solve_barycenter(multiplex, w, method.removeprefix("sma-"), cfg.sma)
 
 
@@ -477,17 +481,12 @@ def fuse_stages(cfg: PipelineConfig):
         multiplex, sigmas = build_layers(tables, cfg.sigma)
     with stage("weights"):
         rv = rv_matrix(multiplex)
-        weight_tables: dict[str, list[float] | None] = {}
-        for name, fn in (("frobenius", weights_frobenius), ("rowsum", weights_rowsum)):
-            try:
-                weight_tables[name] = [float(x) for x in fn(rv)]
-            except (DegenerateSpectrum, InvalidInput):
-                weight_tables[name] = None
+        weight_tables = {"frobenius": weights_frobenius(rv), "rowsum": weights_rowsum(rv)}
     fusion: dict[str, FusionResult] = {}
     monoplexes: dict[str, SimilarityLayer] = {}
     for method in cfg.methods:
         with stage(method):
-            fusion[method] = fuse_method(multiplex, method, cfg, rv)
+            fusion[method] = fuse_method(multiplex, method, cfg, weight_tables)
             monoplexes[method] = fusion[method].as_layer()
     return multiplex, flog, sigmas, weight_tables, fusion, monoplexes
 
@@ -583,29 +582,26 @@ def write_similarity_csv(path, labels, matrix):
 def load_similarity_csv(path) -> SimilarityLayer:
     """Read a labelled matrix CSV back into a similarity layer."""
     path = Path(path)
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if len(rows) < 2:
+    numbered = _read_csv_records(path)
+    if len(numbered) < 2:
         raise ParseError(f"{path}: expected a header and at least one row")
-    labels = tuple(rows[0][1:])
+    (_, header), *records = numbered
+    labels = tuple(header[1:])
     n = len(labels)
     values = np.zeros((n, n))
-    if len(rows) != n + 1:
-        raise ParseError(f"{path}: expected {n} data rows, got {len(rows) - 1}")
-    for i, row in enumerate(rows[1:], start=2):
+    if len(records) != n:
+        raise ParseError(f"{path}: expected {n} data rows, got {len(records)}")
+    for i, (lineno, row) in enumerate(records):
         if len(row) != n + 1:
-            raise ParseError(f"{path}:{i}: expected {n + 1} cells, got {len(row)}")
-        if row[0] != labels[i - 2]:
+            raise ParseError(f"{path}:{lineno}: expected {n + 1} cells, got {len(row)}")
+        if row[0] != labels[i]:
             raise ParseError(
-                f"{path}:{i}: row label {row[0]!r} does not match header order"
+                f"{path}:{lineno}: row label {row[0]!r} does not match header order"
             )
         try:
-            values[i - 2] = [float(c) for c in row[1:]]
+            values[i] = [float(c) for c in row[1:]]
         except ValueError as exc:
-            raise ParseError(f"{path}:{i}: {exc}") from exc
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
     try:
         return SimilarityLayer(labels, values, "external")
     except InvalidInput as exc:
@@ -685,17 +681,10 @@ def _write_artifacts(out_dir: Path, cfg: PipelineConfig, multiplex: Multiplex, r
             out_dir / f"graph_{name}.graphml", cfg.export_threshold,
         )
 
-    wrows = [["layer", "frobenius", "rowsum"]]
-    wf = report.weight_tables.get("frobenius")
-    wr = report.weight_tables.get("rowsum")
+    tables = report.weight_tables
+    wrows = [["layer", *tables]]
     for i, name in enumerate(report.layer_names):
-        wrows.append(
-            [
-                name,
-                fmt17(wf[i]) if wf is not None else "",
-                fmt17(wr[i]) if wr is not None else "",
-            ]
-        )
+        wrows.append([name, *(fmt17(w[i]) for w in tables.values())])
     _write_text(out_dir / "weights.csv", _csv_text(wrows))
 
     write_similarity_csv(

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import multifuse
+from multifuse import pipeline
 from multifuse.cli import main
+from multifuse.errors import DegenerateSpectrum
 from multifuse.pipeline import load_similarity_csv, write_similarity_csv
 
 DATA = Path(__file__).parent / "data" / "synthetic"
@@ -110,6 +112,12 @@ class TestFuse:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_sigma_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["fuse", "--method", "sma-f", "--inputs", *inputs(2), "--sigma", "inf", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: sigma must be finite, got inf\n"
+        assert not out.exists()
+
     def test_singular_layer_exit_code(self, tmp_path):
         # duplicate site profiles make the RBF layer singular; with no jitter
         # the Riemannian solver must refuse
@@ -187,6 +195,13 @@ class TestCluster:
         assert len({comms[f"n{i}"] for i in range(3)}) == 1
         assert comms["n0"] != comms["n3"]
         assert out[-1].startswith("# modularity ")
+
+    def test_non_finite_resolution_exit_code(self, tmp_path, capsys):
+        p = matrix_csv(tmp_path, "m.csv", block_matrix())
+        assert main(["cluster", p, "--resolution", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: resolution must be positive and finite")
 
     def test_invalid_graph_exit_code(self, tmp_path):
         p = matrix_csv(tmp_path, "m.csv", np.eye(3))
@@ -308,6 +323,13 @@ class TestRun:
             {"sma": {"tol": 0}},
             {"sma": {"max_iter": 0}},
             {"sma": {"jitter": -1}},
+            {"resolution": 1e400},
+            {"sigma": 1e400},
+            {"export_threshold": float("inf")},
+            {"export_threshold": float("nan")},
+            {"snf": {"epsilon": float("inf")}},
+            {"sma": {"tol": float("inf")}},
+            {"sma": {"jitter": float("nan")}},
         ],
         ids=lambda e: json.dumps(e),
     )
@@ -325,6 +347,14 @@ class TestRun:
         bad.write_text("entity,s1\nx,oops\n")
         assert main(command_args(command, tmp_path, [str(bad), inputs(1)[0]])) == 2
         assert capsys.readouterr().err.startswith("error: [stage load] ")
+
+    def test_weight_table_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        def degenerate(rv):
+            raise DegenerateSpectrum("leading RV eigenvalue is not simple")
+
+        monkeypatch.setattr(pipeline, "weights_frobenius", degenerate)
+        assert main(command_args("run", tmp_path, inputs())) == 3
+        assert capsys.readouterr().err.startswith("error: [stage weights] leading RV eigenvalue")
 
     def test_undecodable_input_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

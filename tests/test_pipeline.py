@@ -8,9 +8,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multifuse import pipeline
-from multifuse.errors import EmptyAfterFilter, EmptyTable, InvalidInput, InvalidParameter, ParseError
+from multifuse.errors import (
+    DegenerateSpectrum,
+    EmptyAfterFilter,
+    EmptyTable,
+    InvalidInput,
+    InvalidParameter,
+    ParseError,
+)
 from multifuse.netanalysis import Partition
 from multifuse.pipeline import (
+    WEIGHT_MODES,
     AbundanceTable,
     PipelineConfig,
     dumps_json17,
@@ -23,6 +31,7 @@ from multifuse.pipeline import (
     write_similarity_csv,
 )
 from multifuse.simbuild import SimilarityLayer
+from multifuse.sma import uniform_weights
 from oracles import export_graph_reference, similarity_csv_reference
 
 DATA = Path(__file__).parent / "data" / "synthetic"
@@ -74,6 +83,12 @@ class TestLoad:
     def test_non_finite_cell(self, tmp_path, cell):
         p = write_csv(tmp_path / "a.csv", f"entity,s1,s2\nx,1.0,0.5\ny,0.2,{cell}\nz,0.1,0.1\n")
         with pytest.raises(ParseError, match=f"a.csv:3: non-finite value '{cell}'"):
+            load_abundance_tables([p])
+
+    def test_error_names_file_line_after_multiline_id(self, tmp_path):
+        # the quoted id spans lines 2-3, so the bad cell is on line 4
+        p = write_csv(tmp_path / "a.csv", 'entity,s1\n"a\nb",1.0\nc,abc\n')
+        with pytest.raises(ParseError, match="a.csv:4: not a number: 'abc'"):
             load_abundance_tables([p])
 
 
@@ -186,6 +201,21 @@ class TestMatrixCsv:
         p = write_csv(tmp_path / "m.csv", ",a,b\na,1.0,0.5\n")
         with pytest.raises(ParseError):
             load_similarity_csv(p)
+
+    def test_error_names_file_line_after_blank_line(self, tmp_path):
+        p = write_csv(tmp_path / "m.csv", ",a,b\n\na,1,0.5\nb,0.5,x\n")
+        with pytest.raises(ParseError, match="m.csv:4: "):
+            load_similarity_csv(p)
+
+    def test_error_names_file_line_after_multiline_label(self, tmp_path):
+        # the label "a\nb" spans two lines in the header and in its own row
+        path = tmp_path / "m.csv"
+        write_similarity_csv(path, ("a\nb", "c"), np.array([[1.0, 0.5], [0.5, 1.0]]))
+        text = path.read_text()
+        assert text.splitlines()[4] == "c,0.5,1"
+        path.write_text(text.replace("c,0.5,1", "c,0.5,x"))
+        with pytest.raises(ParseError, match="m.csv:5: "):
+            load_similarity_csv(path)
 
 
 class TestExport:
@@ -420,6 +450,46 @@ class TestRunPipeline:
             run_pipeline(cfg)
         assert info.value.__notes__ == [f"[stage sma-{metric}]"]
         assert not (tmp_path / "out").exists()
+
+    def test_weight_tables_computed_once(self, tmp_path, monkeypatch):
+        calls = {"weights_frobenius": 0, "weights_rowsum": 0}
+        for name in calls:
+            fn = getattr(pipeline, name)
+
+            def counted(rv, fn=fn, name=name):
+                calls[name] += 1
+                return fn(rv)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        run_pipeline(PipelineConfig(inputs=self.paths(), output_dir=str(tmp_path / "out")))
+        assert calls == {"weights_frobenius": 1, "weights_rowsum": 1}
+
+    def test_weight_table_error_names_weights_stage(self, tmp_path, monkeypatch):
+        def degenerate(rv):
+            raise DegenerateSpectrum("leading RV eigenvalue is not simple")
+
+        monkeypatch.setattr(pipeline, "weights_frobenius", degenerate)
+        cfg = PipelineConfig(inputs=self.paths()[:3], output_dir=str(tmp_path / "out"))
+        with pytest.raises(DegenerateSpectrum) as info:
+            run_pipeline(cfg)
+        assert info.value.__notes__ == ["[stage weights]"]
+
+    @pytest.mark.parametrize("mode", WEIGHT_MODES)
+    def test_barycenter_weights_read_the_mode_table(self, tmp_path, mode):
+        cfg = PipelineConfig(
+            inputs=self.paths()[:3], output_dir=str(tmp_path / "out"), weights_mode=mode,
+            methods=("sma-frobenius", "sma-riemannian", "sma-wasserstein"),
+        )
+        _, _, _, tables, fusion, _ = pipeline.fuse_stages(cfg)
+        assert list(tables) == ["frobenius", "rowsum"]
+        for method, result in fusion.items():
+            expected = {
+                "uniform": uniform_weights(3),
+                "rv-leading-eigenvector": tables["frobenius"],
+                "rv-rowsum": tables["rowsum"],
+                "paired": tables["frobenius" if method == "sma-frobenius" else "rowsum"],
+            }[mode]
+            assert np.array_equal(result.weights, expected), method
 
     def test_stage_error_keeps_type_and_attributes(self, tmp_path, monkeypatch):
         def denied(paths):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multifuse.errors import (
     DegenerateSpectrum,
@@ -10,6 +12,7 @@ from multifuse.errors import (
 )
 from multifuse import matcore, sma
 from multifuse.matcore import fro_norm
+from multifuse.simbuild import FeatureTable, rbf_similarity
 from multifuse.sma import (
     BarycenterConfig,
     barycenter_frobenius,
@@ -73,7 +76,41 @@ class TestRvMatrix:
             assert r.min() >= 0.0 and r.max() <= 1.0
 
 
+@st.composite
+def rbf_layer_sets(draw):
+    """m >= 2 RBF layers over n >= 1 entities, as the pipeline builds them.
+
+    Rows repeat, may share a large offset, and every layer uses the
+    scale-adaptive bandwidth or one extreme ``sigma``.
+    """
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(2, 5))
+    sigma = draw(st.sampled_from([None, 1e-300, 1e-8, 1e8, 1e300]))
+    labels = tuple(f"e{i}" for i in range(n))
+    layers = []
+    for _ in range(m):
+        p = draw(st.integers(1, 3))
+        profile = st.lists(st.floats(0.0, 10.0), min_size=p, max_size=p)
+        distinct = draw(st.lists(profile, min_size=1, max_size=n))
+        pick = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+        offset = draw(st.sampled_from([0.0, 1e6, 1e12]))
+        rows = np.array([distinct[i] for i in pick]) + offset
+        layers.append(rbf_similarity(FeatureTable(labels, rows), sigma))
+    return layers
+
+
 class TestWeights:
+    @settings(max_examples=200, deadline=None)
+    @given(rbf_layer_sets())
+    def test_rbf_layers_give_positive_rv_and_weights(self, layers):
+        # unit diagonal and entries in [0, 1]: <S_i, S_j>_F >= n and ||S||_F <= n
+        n = layers[0].n
+        r = rv_matrix(layers)
+        assert r.min() >= 1.0 / n - 1e-12
+        for w in (weights_frobenius(r), weights_rowsum(r)):
+            assert w.min() > 0.0
+            assert abs(w.sum() - 1.0) <= 1e-12
+
     def test_frobenius_identical_layers_uniform(self):
         r = np.ones((4, 4))
         w = weights_frobenius(r)

@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 for configuration or parse problems, 3 for
-numerical failures (singular matrices, and non-convergence under --strict).
+Exit codes: 0 on success; for an error of this package, its ``exit_code``:
+3 for numerical failures (singular matrices, a degenerate RV spectrum, and
+non-convergence under --strict), 2 for every other one and for OS errors.
 Standard output is UTF-8 whatever the locale, like the artifacts.
 """
 
@@ -12,17 +13,7 @@ import io
 import sys
 from pathlib import Path
 
-from .errors import (
-    DegenerateGroup,
-    DegenerateSpectrum,
-    DimensionError,
-    EmptyAfterFilter,
-    InvalidInput,
-    InvalidParameter,
-    MultifuseError,
-    ParseError,
-    SingularMatrix,
-)
+from .errors import MultifuseError
 from .pipeline import (
     EXPORT_FORMATS,
     WEIGHT_MODES,
@@ -40,19 +31,6 @@ from .pipeline import (
 from .netanalysis import distance_correlation, louvain_communities
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_NUMERIC = 3
-
-CONFIG_ERRORS = (
-    ParseError,
-    InvalidInput,
-    InvalidParameter,
-    DimensionError,
-    DegenerateGroup,
-    EmptyAfterFilter,
-    OSError,
-)
-NUMERIC_ERRORS = (SingularMatrix, DegenerateSpectrum)
 
 METHOD_ALIASES = {
     "snf": "snf",
@@ -67,6 +45,8 @@ WEIGHT_ALIASES = {"rv-pc": "rv-leading-eigenvector"}
 
 class NonConvergence(MultifuseError):
     """Raised under --strict when a solver hits its iteration cap."""
+
+    exit_code = 3
 
 
 def _sigma_arg(value: str):
@@ -216,9 +196,9 @@ def main(argv=None) -> int:
         sys.stdout.reconfigure(encoding="utf-8")  # labels print as UTF-8 under any locale
     try:
         return COMMANDS[args.command](args)
-    except (*NUMERIC_ERRORS, NonConvergence, *CONFIG_ERRORS) as exc:
+    except (MultifuseError, OSError) as exc:
         print(" ".join(["error:", *getattr(exc, "__notes__", ()), str(exc)]), file=sys.stderr)
-        return EXIT_CONFIG if isinstance(exc, CONFIG_ERRORS) else EXIT_NUMERIC
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

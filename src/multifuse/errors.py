@@ -6,7 +6,12 @@ from dataclasses import fields
 
 
 class MultifuseError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``exit_code`` is its command-line exit status: 2, or 3 for a numerical failure.
+    """
+
+    exit_code = 2
 
 
 class InvalidInput(MultifuseError):
@@ -24,6 +29,8 @@ class DimensionError(MultifuseError):
 class SingularMatrix(MultifuseError):
     """A matrix lacks the definiteness the operation requires."""
 
+    exit_code = 3
+
 
 class DegenerateGroup(MultifuseError):
     """An empty group cannot be similarity-scored."""
@@ -31,6 +38,8 @@ class DegenerateGroup(MultifuseError):
 
 class DegenerateSpectrum(MultifuseError):
     """The leading eigenvalue is not simple, so no canonical eigenvector exists."""
+
+    exit_code = 3
 
 
 class ParseError(MultifuseError):

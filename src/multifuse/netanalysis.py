@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInput, InvalidParameter
 from .matcore import sq_distances
-from .simbuild import layer_matrix
+from .simbuild import default_labels, layer_matrix
 
 __all__ = [
     "Partition",
@@ -131,9 +131,7 @@ def _graph_weights(S) -> tuple[tuple[str, ...], np.ndarray]:
     np.fill_diagonal(w, 0.0)
     if w.min() < 0:
         raise InvalidInput("edge weights must be nonnegative")
-    if labels is None:
-        labels = tuple(str(i) for i in range(w.shape[0]))
-    return labels, w
+    return labels or default_labels(w.shape[0]), w
 
 
 def _modularity_value(w: np.ndarray, comm: np.ndarray, resolution: float) -> float:
@@ -196,10 +194,12 @@ def louvain_communities(S, resolution: float = 1.0, seed: int = 0) -> Partition:
 
     Diagonal entries are excluded (self-similarity carries no relational
     information).  The node sweep order is drawn from a generator seeded
-    with ``seed``, making the partition fully deterministic.
+    with the nonnegative ``seed``, making the partition fully deterministic.
     """
     if not 0 < resolution < math.inf:
         raise InvalidParameter(f"resolution must be positive and finite, got {resolution!r}")
+    if seed < 0:
+        raise InvalidParameter(f"seed must be nonnegative, got {seed!r}")
     labels, w = _graph_weights(S)
     if w.sum() <= 0:
         raise InvalidInput("graph has no positive off-diagonal weight")

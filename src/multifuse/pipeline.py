@@ -298,6 +298,8 @@ class PipelineConfig:
             raise InvalidParameter("sigma must be positive")
         if not self.resolution > 0:
             raise InvalidParameter("resolution must be positive")
+        if self.seed < 0:
+            raise InvalidParameter("seed must be nonnegative")
         if self.weights_mode not in WEIGHT_MODES:
             raise InvalidParameter(f"unknown weights mode {self.weights_mode!r}")
         self.methods = tuple(self.methods)
@@ -611,11 +613,14 @@ def load_similarity_csv(path) -> SimilarityLayer:
 def export_graph(layer: SimilarityLayer, partition, fmt: str, path, threshold: float = 0.0):
     """Write a similarity network as an edge list, GraphML, or matrix CSV.
 
-    Edge formats keep pairs i < j with weight strictly above ``threshold``.
-    GraphML nodes carry a ``community`` attribute when a partition is given.
+    Edge formats keep pairs i < j with weight strictly above ``threshold``,
+    which must be finite.  GraphML nodes carry a ``community`` attribute when
+    a partition is given.
     """
     if fmt not in EXPORT_FORMATS:
         raise InvalidParameter(f"unknown export format {fmt!r}")
+    if not np.isfinite(threshold):
+        raise InvalidParameter(f"threshold must be finite, got {threshold!r}")
     path = Path(path)
     labels, s = layer.labels, layer.S
     if partition is not None and partition.labels != labels:

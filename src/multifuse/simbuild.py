@@ -122,16 +122,27 @@ class SimilarityLayer:
         return self.S.shape[0]
 
 
+def default_labels(n: int) -> tuple[str, ...]:
+    """The node labels of a bare n x n array: ``"0"`` to ``str(n - 1)``."""
+    return tuple(str(i) for i in range(n))
+
+
 def layer_matrix(S) -> tuple[tuple[str, ...] | None, np.ndarray]:
     """Labels (``None`` for a bare array) and float matrix of a layer or array.
 
-    Raises ``DimensionError`` unless the matrix is square.
+    The one reader of a "layer or array" argument.  A bare array is returned
+    as given, not symmetrised; it must be square (else ``DimensionError``),
+    nonempty and finite (else ``InvalidInput``).
     """
     if isinstance(S, SimilarityLayer):
         return S.labels, S.S
     m = np.asarray(S, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    if m.shape[0] < 1:
+        raise InvalidInput("matrix dimension must be >= 1")
+    if not np.isfinite(m).all():
+        raise InvalidInput("matrix contains non-finite entries")
     return None, m
 
 
@@ -243,10 +254,6 @@ def _projection_diagonal(g: np.ndarray) -> np.ndarray:
     return d
 
 
-def _default_labels(n: int) -> tuple[str, ...]:
-    return tuple(str(i) for i in range(n))
-
-
 def jaccard_from_projection(G, labels=None) -> SimilarityLayer:
     """Jaccard similarity ``g_ij / (g_ii + g_jj - g_ij)`` of a projection."""
     g = sym_matrix(G)
@@ -256,7 +263,7 @@ def jaccard_from_projection(G, labels=None) -> SimilarityLayer:
         raise InvalidInput("jaccard denominator must be positive for every pair")
     s = g / denom
     np.fill_diagonal(s, 1.0)
-    return SimilarityLayer(labels or _default_labels(g.shape[0]), s, "jaccard")
+    return SimilarityLayer(labels or default_labels(g.shape[0]), s, "jaccard")
 
 
 def cosine_from_projection(G, labels=None) -> SimilarityLayer:
@@ -265,4 +272,4 @@ def cosine_from_projection(G, labels=None) -> SimilarityLayer:
     d = _projection_diagonal(g)
     s = g / np.sqrt(np.outer(d, d))
     np.fill_diagonal(s, 1.0)
-    return SimilarityLayer(labels or _default_labels(g.shape[0]), s, "cosine")
+    return SimilarityLayer(labels or default_labels(g.shape[0]), s, "cosine")

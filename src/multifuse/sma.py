@@ -39,7 +39,7 @@ from .matcore import (
     sym_eigen,
     sym_matrix,
 )
-from .simbuild import Multiplex, SimilarityLayer
+from .simbuild import default_labels, layer_matrix
 from .snf import FusionResult
 
 __all__ = [
@@ -87,24 +87,24 @@ class BarycenterConfig:
 
 
 def _coerce_layers(layers) -> tuple[tuple[str, ...], list[np.ndarray]]:
-    """Accept a Multiplex, a sequence of layers, or raw symmetric arrays."""
-    if isinstance(layers, Multiplex):
-        return layers.labels, [np.asarray(s, dtype=float) for s in layers.matrices()]
-    items = list(layers)
-    if not items:
+    """Labels and matrices of a Multiplex, or of a sequence of layers or arrays.
+
+    A bare array is symmetrised and its nodes are labelled ``default_labels``;
+    every item must share the first one's labels.
+    """
+    labels, mats = None, []
+    for item in layers:
+        item_labels, m = layer_matrix(item)
+        if item_labels is None:
+            item_labels, m = default_labels(m.shape[0]), (m + m.T) / 2.0
+        if labels is None:
+            labels = item_labels
+        elif item_labels != labels:
+            raise DimensionError("layers must share one node-label list and dimension")
+        mats.append(m)
+    if not mats:
         raise InvalidInput("need at least one layer")
-    if isinstance(items[0], SimilarityLayer):
-        labels = items[0].labels
-        for lay in items[1:]:
-            if not isinstance(lay, SimilarityLayer) or lay.labels != labels:
-                raise DimensionError("layers must share one node-label list")
-        return labels, [lay.S for lay in items]
-    mats = [sym_matrix(m) for m in items]
-    n = mats[0].shape[0]
-    for m in mats[1:]:
-        if m.shape[0] != n:
-            raise DimensionError("layers must share one dimension")
-    return tuple(str(i) for i in range(n)), mats
+    return labels, mats
 
 
 def check_weights(w, m: int) -> np.ndarray:

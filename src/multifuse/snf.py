@@ -47,8 +47,8 @@ class SnfConfig:
     """Tuning knobs for one fusion run.
 
     ``k=None`` resolves to ``default_k(n)`` at fusion time.  Initial status
-    matrices always use the published total-sum normalization
-    (``global_normalize``).
+    matrices always use the total-sum normalization (``global_normalize``),
+    not the row normalization of Wang et al.'s eq. 1.
     """
 
     k: int | None = None

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import multifuse
-from multifuse import pipeline
+from multifuse import cli, pipeline
 from multifuse.cli import main
-from multifuse.errors import DegenerateSpectrum
+from multifuse.errors import DegenerateSpectrum, MultifuseError
 from multifuse.pipeline import load_similarity_csv, write_similarity_csv
 
 DATA = Path(__file__).parent / "data" / "synthetic"
@@ -207,6 +207,13 @@ class TestCluster:
         p = matrix_csv(tmp_path, "m.csv", np.eye(3))
         assert main(["cluster", p]) == 2
 
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        p = matrix_csv(tmp_path, "m.csv", block_matrix())
+        assert main(["cluster", p, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: seed must be nonnegative")
+
     def test_labels_are_csv_quoted(self, tmp_path, capsys):
         labels = ("a,b", 'a"b', "c", "d\ne", "f", "g")
         p = matrix_csv(tmp_path, "m.csv", block_matrix(), labels)
@@ -261,6 +268,22 @@ class TestExport:
             for e in ET.parse(graphml).getroot().iter(f"{{{ns['g']}}}edge")
         ]
         assert found == [("a", "c", "0.75"), ("b", "d", "0.625")]
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        p = matrix_csv(tmp_path, "m.csv", block_matrix())
+        out = tmp_path / "g.graphml"
+        assert main(["export", p, "--format", "graphml", "--out", str(out), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be nonnegative")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_exit_code(self, tmp_path, capsys, threshold):
+        p = matrix_csv(tmp_path, "m.csv", block_matrix())
+        out = tmp_path / "edges.csv"
+        args = ["export", p, "--format", "edge-list", "--out", str(out), "--threshold", threshold]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: threshold must be finite")
+        assert not out.exists()
 
     def test_graphml_includes_louvain_communities(self, tmp_path):
         p = matrix_csv(tmp_path, "m.csv", block_matrix())
@@ -330,6 +353,7 @@ class TestRun:
             {"snf": {"epsilon": float("inf")}},
             {"sma": {"tol": float("inf")}},
             {"sma": {"jitter": float("nan")}},
+            {"seed": -1},
         ],
         ids=lambda e: json.dumps(e),
     )
@@ -363,3 +387,20 @@ class TestRun:
         cfg_path.write_text(json.dumps({"inputs": [str(bad), inputs(1)[0]], "output_dir": "out"}))
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.startswith("error: [stage load] ")
+
+
+class TestExitStatus:
+    class Unlisted(MultifuseError):
+        pass
+
+    class UnlistedNumeric(MultifuseError):
+        exit_code = 3
+
+    @pytest.mark.parametrize("error, status", [(Unlisted, 2), (UnlistedNumeric, 3)])
+    def test_error_class_carries_exit_status(self, monkeypatch, capsys, error, status):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setitem(cli.COMMANDS, "dcor", fail)
+        assert main(["dcor", "a.csv", "b.csv"]) == status
+        assert capsys.readouterr().err == "error: boom\n"

@@ -410,6 +410,8 @@ class TestRunPipeline:
             PipelineConfig(
                 inputs=("missing_file.csv", "other.csv"), output_dir=str(tmp_path)
             )
+        with pytest.raises(InvalidParameter, match="seed"):
+            PipelineConfig(inputs=self.paths()[:2], output_dir=str(tmp_path), seed=-1)
 
     def test_config_from_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

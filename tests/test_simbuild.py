@@ -3,6 +3,7 @@ import pytest
 
 from multifuse.errors import DegenerateGroup, DimensionError, InvalidInput, InvalidParameter
 from multifuse.matcore import is_psd
+from multifuse.netanalysis import distance_correlation, louvain_communities, modularity
 from multifuse.simbuild import (
     FeatureTable,
     IncidenceMatrix,
@@ -15,6 +16,7 @@ from multifuse.simbuild import (
     presence_similarity,
     rbf_similarity,
 )
+from multifuse.snf import global_normalize, local_normalize
 
 
 def table(rows, labels=None):
@@ -189,3 +191,24 @@ class TestJaccardCosine:
             for lay in (jaccard_from_projection(g), cosine_from_projection(g)):
                 assert lay.S.min() >= 0.0
                 assert is_psd(lay.S, tol=1e-10)
+
+
+NAN_MATRIX = np.array([[1.0, 0.5, np.nan], [0.5, 1.0, 0.2], [np.nan, 0.2, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: distance_correlation(s, np.eye(3)),
+        lambda s: louvain_communities(s),
+        lambda s: modularity(s, [0, 0, 1]),
+        lambda s: local_normalize(s, 1),
+        global_normalize,
+    ],
+    ids=["distance_correlation", "louvain_communities", "modularity", "local_normalize",
+         "global_normalize"],
+)
+def test_bare_array_with_nan_rejected(call):
+    # every "layer or array" argument is read by layer_matrix
+    with pytest.raises(InvalidInput, match="non-finite"):
+        call(NAN_MATRIX)

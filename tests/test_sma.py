@@ -12,7 +12,7 @@ from multifuse.errors import (
 )
 from multifuse import matcore, sma
 from multifuse.matcore import fro_norm
-from multifuse.simbuild import FeatureTable, rbf_similarity
+from multifuse.simbuild import FeatureTable, SimilarityLayer, rbf_similarity
 from multifuse.sma import (
     BarycenterConfig,
     barycenter_frobenius,
@@ -68,6 +68,10 @@ class TestRvMatrix:
     def test_zero_layer_rejected(self):
         with pytest.raises(InvalidInput):
             rv_matrix([np.zeros((2, 2)), np.eye(2)])
+
+    def test_bare_arrays_are_symmetrised(self):
+        a = np.array([[1.0, 0.9, 0.0], [0.1, 1.0, 0.4], [0.2, 0.6, 1.0]])
+        assert np.array_equal(rv_matrix([a, a.T]), np.ones((2, 2)))
 
     def test_entries_in_unit_interval_for_nonneg_psd(self):
         rng = np.random.default_rng(2)
@@ -187,6 +191,19 @@ class TestFrobeniusBarycenter:
             [np.diag([1.0, 4.0]), np.diag([4.0, 1.0])], [0.5, 0.5]
         )
         assert np.array_equal(res.matrix, np.diag([2.5, 2.5]))
+
+    @pytest.mark.parametrize(
+        "layers",
+        [
+            [SimilarityLayer(("a", "b", "c"), np.eye(3)), np.eye(3)],
+            [np.eye(3), SimilarityLayer(("a", "b", "c"), np.eye(3))],
+            [np.eye(3), np.eye(2)],
+        ],
+        ids=["layer-array", "array-layer", "unequal-orders"],
+    )
+    def test_layers_must_share_labels(self, layers):
+        with pytest.raises(DimensionError):
+            barycenter_frobenius(layers, [0.5, 0.5])
 
 
 class TestRiemannianBarycenter:

@@ -105,16 +105,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_convergence(fusion: dict, strict: bool) -> None:
+    """Print each method's convergence line; under ``strict``, fail if any hit its cap."""
+    for name, r in fusion.items():
+        status = "converged" if r.converged else "NOT converged"
+        print(f"{name}: {status} after {r.iterations} iterations (residual {fmt17(r.residual)})")
+    bad = [name for name, r in fusion.items() if not r.converged]
+    if bad and strict:
+        raise NonConvergence(f"did not converge within the iteration cap: {', '.join(bad)}")
+
+
 def _cmd_run(args) -> int:
     cfg = PipelineConfig.from_file(args.config)
     report = run_pipeline(cfg)
-    bad = [name for name, r in report.fusion.items() if not r.converged]
-    for name, r in report.fusion.items():
-        status = "converged" if r.converged else "NOT converged"
-        print(f"{name}: {status} after {r.iterations} iterations (residual {fmt17(r.residual)})")
     print(f"artifacts written to {cfg.output_dir}")
-    if bad and args.strict:
-        raise NonConvergence(f"methods did not converge: {', '.join(bad)}")
+    _report_convergence(report.fusion, args.strict)
     return EXIT_OK
 
 
@@ -145,11 +150,8 @@ def _cmd_fuse(args) -> int:
         "weights": None if result.weights is None else list(result.weights),
     }
     _write_text(out / "fuse_report.json", dumps_json17(summary) + "\n")
-    status = "converged" if result.converged else "NOT converged"
-    print(f"{method}: {status} after {result.iterations} iterations")
     print(f"monoplex written to {out / f'monoplex_{method}.csv'}")
-    if not result.converged and args.strict:
-        raise NonConvergence(f"{method} did not converge within the iteration cap")
+    _report_convergence({method: result}, args.strict)
     return EXIT_OK
 
 

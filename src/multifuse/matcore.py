@@ -17,6 +17,7 @@ from .errors import DimensionError, InvalidInput, InvalidParameter, SingularMatr
 
 __all__ = [
     "EigenPair",
+    "square_matrix",
     "sym_matrix",
     "sym_eigen",
     "mat_fn",
@@ -53,24 +54,29 @@ class EigenPair(NamedTuple):
     vectors: np.ndarray  # shape (n, n), orthonormal columns
 
 
-def sym_matrix(entries) -> np.ndarray:
-    """Validate a square real matrix and return its symmetric part.
+def square_matrix(entries) -> np.ndarray:
+    """Float array of a square, nonempty, finite matrix, not symmetrised.
 
-    Symmetry is enforced by averaging ``(M + M.T) / 2``; doing this once at
-    construction keeps all later operations drift-free.
-
-    Raises
-    ------
-    InvalidInput
-        If the array is not square, is empty, or contains non-finite values.
+    Raises ``DimensionError`` if the array is not square and ``InvalidInput``
+    if it is empty or contains non-finite values.
     """
-    m = np.array(entries, dtype=float)
+    m = np.asarray(entries, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
+        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
         raise InvalidInput("matrix dimension must be >= 1")
     if not np.isfinite(m).all():
         raise InvalidInput("matrix contains non-finite entries")
+    return m
+
+
+def sym_matrix(entries) -> np.ndarray:
+    """Validate a matrix with ``square_matrix`` and return its symmetric part.
+
+    Symmetry is enforced by averaging ``(M + M.T) / 2``; doing this once at
+    construction keeps all later operations drift-free.
+    """
+    m = square_matrix(entries)
     return (m + m.T) / 2.0
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGroup, DimensionError, InvalidInput, InvalidParameter
-from .matcore import sq_distances, sym_matrix
+from .matcore import sq_distances, square_matrix, sym_matrix
 
 __all__ = [
     "FeatureTable",
@@ -136,14 +136,7 @@ def layer_matrix(S) -> tuple[tuple[str, ...] | None, np.ndarray]:
     """
     if isinstance(S, SimilarityLayer):
         return S.labels, S.S
-    m = np.asarray(S, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] < 1:
-        raise InvalidInput("matrix dimension must be >= 1")
-    if not np.isfinite(m).all():
-        raise InvalidInput("matrix contains non-finite entries")
-    return None, m
+    return None, square_matrix(S)
 
 
 @dataclass

@@ -40,7 +40,7 @@ from .matcore import (
     sym_matrix,
 )
 from .simbuild import default_labels, layer_matrix
-from .snf import FusionResult
+from .snf import FusionResult, fusion_result, iterate
 
 __all__ = [
     "BarycenterConfig",
@@ -235,27 +235,14 @@ def _weighted_sum(mats: list[np.ndarray], w: np.ndarray) -> np.ndarray:
     acc = w[0] * mats[0]
     for wl, m in zip(w[1:], mats[1:]):
         acc = acc + wl * m
-    return (acc + acc.T) / 2.0
-
-
-def _result(labels, matrix, method, converged, iterations, history, w) -> FusionResult:
-    return FusionResult(
-        labels=labels,
-        matrix=matrix,
-        method=method,
-        converged=converged,
-        iterations=iterations,
-        residual=history[-1] if history else 0.0,
-        residual_history=tuple(history),
-        weights=w.copy(),
-    )
+    return acc
 
 
 def barycenter_frobenius(layers, w) -> FusionResult:
     """Weighted arithmetic mean of the layers (exact, no iteration)."""
     labels, mats = _coerce_layers(layers)
     w = check_weights(w, len(mats))
-    return _result(labels, _weighted_sum(mats, w), "sma-frobenius", True, 0, [], w)
+    return fusion_result(labels, _weighted_sum(mats, w), "sma-frobenius", [], True, 0, w)
 
 
 def barycenter_riemannian(layers, w, cfg: BarycenterConfig | None = None) -> FusionResult:
@@ -263,7 +250,7 @@ def barycenter_riemannian(layers, w, cfg: BarycenterConfig | None = None) -> Fus
 
     Starts from the arithmetic mean and iterates the exponential-map update
     until the tangent-space residual ``||sum_l w_l log(X^{-1/2} S_l
-    X^{-1/2})||_F`` drops to ``tol * m``.  Hitting ``max_iter`` returns a
+    X^{-1/2})||_F`` is at most ``tol * m``.  Hitting ``max_iter`` returns a
     result flagged ``converged=False``.
     """
     cfg = cfg or BarycenterConfig()
@@ -271,27 +258,21 @@ def barycenter_riemannian(layers, w, cfg: BarycenterConfig | None = None) -> Fus
     w = check_weights(w, len(mats))
     mats = _prepare_pd(mats, 1e-8 if cfg.jitter is None else cfg.jitter, require_pd=True)
 
-    x = _weighted_sum(mats, w)
-    history: list[float] = []
-    converged = False
-    iterations = 0
-    while True:
-        xs, xis = spectral_fns(x, "sqrt", "invsqrt")
-        tangent = np.zeros_like(x)
-        for wl, s in zip(w, mats):
-            tangent += wl * spectral_fns(xis @ s @ xis, "log")[0]
-        tangent = (tangent + tangent.T) / 2.0
-        residual = fro_norm(tangent)
-        history.append(residual)
-        if residual <= cfg.tol * len(mats):
-            converged = True
-            break
-        if iterations >= cfg.max_iter:
-            break
-        x = xs @ spectral_fns(tangent, "exp")[0] @ xs
-        x = (x + x.T) / 2.0
-        iterations += 1
-    return _result(labels, x, "sma-riemannian", converged, iterations, history, w)
+    def karcher(x):
+        while True:
+            xs, xis = spectral_fns(x, "sqrt", "invsqrt")
+            tangent = np.zeros_like(x)
+            for wl, s in zip(w, mats):
+                tangent += wl * spectral_fns(xis @ s @ xis, "log")[0]
+            yield fro_norm(tangent), x
+            x = xs @ spectral_fns(tangent, "exp")[0] @ xs
+            x = (x + x.T) / 2.0
+
+    # The first residual precedes any update, so max_iter updates give max_iter + 1.
+    x, history, converged = iterate(
+        karcher(_weighted_sum(mats, w)), cfg.tol * len(mats), cfg.max_iter + 1
+    )
+    return fusion_result(labels, x, "sma-riemannian", history, converged, len(history) - 1, w)
 
 
 def barycenter_wasserstein(layers, w, cfg: BarycenterConfig | None = None) -> FusionResult:
@@ -306,27 +287,18 @@ def barycenter_wasserstein(layers, w, cfg: BarycenterConfig | None = None) -> Fu
     w = check_weights(w, len(mats))
     mats = _prepare_pd(mats, cfg.jitter or 0.0, require_pd=False)
 
-    x = _weighted_sum(mats, w)
-    history: list[float] = []
-    converged = False
-    iterations = 0
-    while True:
-        xs, xis = spectral_fns(x, "sqrt", "invsqrt")
-        mean_root = np.zeros_like(x)
-        for wl, s in zip(w, mats):
-            mean_root += wl * spectral_fns(xs @ s @ xs, "sqrt", clip=True)[0]
-        mean_root = (mean_root + mean_root.T) / 2.0
-        residual = fro_norm(x - mean_root)
-        history.append(residual)
-        if residual <= cfg.tol:
-            converged = True
-            break
-        if iterations >= cfg.max_iter:
-            break
-        x = xis @ (mean_root @ mean_root) @ xis
-        x = (x + x.T) / 2.0
-        iterations += 1
-    return _result(labels, x, "sma-wasserstein", converged, iterations, history, w)
+    def fixed_point(x):
+        while True:
+            xs, xis = spectral_fns(x, "sqrt", "invsqrt")
+            mean_root = np.zeros_like(x)
+            for wl, s in zip(w, mats):
+                mean_root += wl * spectral_fns(xs @ s @ xs, "sqrt", clip=True)[0]
+            yield fro_norm(x - mean_root), x
+            x = xis @ (mean_root @ mean_root) @ xis
+            x = (x + x.T) / 2.0
+
+    x, history, converged = iterate(fixed_point(_weighted_sum(mats, w)), cfg.tol, cfg.max_iter + 1)
+    return fusion_result(labels, x, "sma-wasserstein", history, converged, len(history) - 1, w)
 
 
 def solve_barycenter(layers, w, metric: str, cfg: BarycenterConfig | None = None) -> FusionResult:

@@ -7,7 +7,7 @@ The status matrices then diffuse through the other layers' kernels,
 
     P_l  <-  Q_l @ mean(P_h, h != l) @ Q_l.T
 
-until the largest per-layer change drops below a tolerance.  The fused
+until the largest per-layer change is at most a tolerance.  The fused
 matrix is the average of the final status matrices, re-weighted back onto
 the [0, 1] similarity scale.
 """
@@ -25,6 +25,8 @@ from .simbuild import Multiplex, SimilarityLayer, layer_matrix
 __all__ = [
     "SnfConfig",
     "FusionResult",
+    "iterate",
+    "fusion_result",
     "default_k",
     "global_normalize",
     "local_normalize",
@@ -93,6 +95,32 @@ class FusionResult:
                 f"range [{m.min():.6g}, {m.max():.6g}]"
             )
         return SimilarityLayer(self.labels, np.clip(m, 0.0, 1.0), "external")
+
+
+def iterate(steps, tol: float, limit: int):
+    """Run a fixed-point iteration under the one stopping rule of every solver.
+
+    ``steps`` yields ``(residual, state)`` pairs.  Stops at the first
+    residual ``<= tol`` or after ``limit`` residuals; returns the last state,
+    every residual in order, and whether the tolerance was met.
+    """
+    history, converged = [], False
+    for residual, state in steps:
+        history.append(residual)
+        converged = residual <= tol
+        if converged or len(history) >= limit:
+            break
+    return state, history, converged
+
+
+def fusion_result(labels, matrix, method, history, converged, iterations,
+                  weights=None, diagnostics=None) -> FusionResult:
+    """The ``FusionResult`` of a solver run; ``residual`` is the last of ``history``, or 0."""
+    return FusionResult(
+        labels, matrix, method, converged, iterations,
+        residual=history[-1] if history else 0.0, residual_history=tuple(history),
+        weights=None if weights is None else weights.copy(), diagnostics=diagnostics or {},
+    )
 
 
 def global_normalize(S) -> np.ndarray:
@@ -171,8 +199,8 @@ def _reweight(fused: np.ndarray) -> np.ndarray:
 def snf_fuse(layers: Multiplex, cfg: SnfConfig | None = None) -> FusionResult:
     """Fuse a multiplex into one similarity matrix by cross diffusion.
 
-    Iterates ``cdp_step`` until the largest per-layer Frobenius change falls
-    below ``cfg.epsilon`` or ``cfg.max_iter`` steps have run.  Hitting the
+    Iterates ``cdp_step`` until the largest per-layer Frobenius change is at
+    most ``cfg.epsilon`` or ``cfg.max_iter`` steps have run.  Hitting the
     iteration cap is reported through ``converged=False``, not an exception.
     """
     cfg = cfg or SnfConfig()
@@ -181,33 +209,24 @@ def snf_fuse(layers: Multiplex, cfg: SnfConfig | None = None) -> FusionResult:
     k = cfg.k if cfg.k is not None else default_k(layers.n)
 
     mats = layers.matrices()
-    P = [global_normalize(s) for s in mats]
     Q = [local_normalize(s, k) for s in mats]
 
     # Rows whose k nearest neighbours all have zero similarity.
     dead = {name: np.flatnonzero(q.sum(axis=1) == 0).tolist() for name, q in zip(layers.names, Q)}
     dead = {name: rows for name, rows in dead.items() if rows}
-    diagnostics = {"zero_neighbour_rows": dead} if dead else {}
 
-    history: list[float] = []
-    for _ in range(cfg.max_iter):
-        new_p = cdp_step(P, Q)
-        history.append(max(fro_norm(new - old) for new, old in zip(new_p, P)))
-        P = new_p
-        if history[-1] < cfg.epsilon:
-            break
+    def diffuse(P):
+        while True:
+            new_p = cdp_step(P, Q)
+            yield max(fro_norm(new - old) for new, old in zip(new_p, P)), new_p
+            P = new_p
 
-    fused = sum(P) / len(P)
-    fused = (fused + fused.T) / 2.0
-
-    return FusionResult(
-        labels=layers.labels,
-        matrix=_reweight(fused),
-        method="snf",
-        converged=history[-1] < cfg.epsilon,
-        iterations=len(history),
-        residual=history[-1],
-        residual_history=tuple(history),
-        weights=None,
-        diagnostics=diagnostics,
+    # The residual follows each step, so max_iter residuals mean max_iter steps.
+    # Only the generator holds the initial status matrices, so a step frees them.
+    P, history, converged = iterate(
+        diffuse([global_normalize(s) for s in mats]), cfg.epsilon, cfg.max_iter
+    )
+    return fusion_result(
+        layers.labels, _reweight(sum(P) / len(P)), "snf", history, converged, len(history),
+        diagnostics={"zero_neighbour_rows": dead} if dead else None,
     )

@@ -106,7 +106,7 @@ def snf_reference(mats, k, eps, max_iter):
             new_p.append(upd)
             res.append(np.linalg.norm(upd - p[l], "fro"))
         p = new_p
-        if max(res) < eps:
+        if max(res) <= eps:
             break
 
     fused = sum(p) / m

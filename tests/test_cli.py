@@ -77,6 +77,17 @@ class TestFuse:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("strict, status", [(True, 3), (False, 0)], ids=["strict", "lenient"])
+    def test_capped_solver_exit_code(self, tmp_path, capsys, strict, status):
+        out = tmp_path / "out"
+        args = ["fuse", "--method", "sma-w", "--inputs", *inputs(), "--max-iter", "1", "--out", str(out)]
+        assert main(args + ["--strict"] * strict) == status
+        captured = capsys.readouterr()
+        assert "sma-wasserstein: NOT converged after 1 iterations (residual " in captured.out
+        assert (out / "monoplex_sma-wasserstein.csv").is_file()
+        expected = "error: did not converge within the iteration cap: sma-wasserstein\n"
+        assert captured.err == (expected if strict else "")
+
     def test_out_of_range_barycenter_setting_exit_code(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["fuse", "--method", "snf", "--inputs", *inputs(), "--tol", "0", "--out", str(out)]) == 2
@@ -311,6 +322,20 @@ class TestRun:
         assert main(["run", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "out" / "report.json").is_file()
         assert "artifacts written" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("strict, status", [(True, 3), (False, 0)], ids=["strict", "lenient"])
+    def test_capped_solver_exit_code(self, tmp_path, capsys, strict, status):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = {"inputs": inputs(), "output_dir": str(tmp_path / "out"), "sma": {"max_iter": 1}}
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path)] + ["--strict"] * strict) == status
+        captured = capsys.readouterr()
+        assert "snf: converged after " in captured.out
+        for name in ("sma-riemannian", "sma-wasserstein"):
+            assert f"{name}: NOT converged after 1 iterations (residual " in captured.out
+        assert (tmp_path / "out" / "report.json").is_file()
+        expected = "error: did not converge within the iteration cap: sma-riemannian, sma-wasserstein\n"
+        assert captured.err == (expected if strict else "")
 
     def test_bad_config_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -31,7 +31,7 @@ class TestSymMatrix:
         assert m[0, 1] == 1.0
 
     def test_rejects_nonsquare(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(DimensionError):
             sym_matrix(np.zeros((2, 3)))
 
     def test_rejects_nonfinite(self):

@@ -16,6 +16,7 @@ from multifuse.simbuild import (
     presence_similarity,
     rbf_similarity,
 )
+from multifuse.sma import rv_matrix, weights_rowsum
 from multifuse.snf import global_normalize, local_normalize
 
 
@@ -212,3 +213,19 @@ def test_bare_array_with_nan_rejected(call):
     # every "layer or array" argument is read by layer_matrix
     with pytest.raises(InvalidInput, match="non-finite"):
         call(NAN_MATRIX)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: SimilarityLayer(("a", "b"), s),
+        weights_rowsum,
+        lambda s: rv_matrix([s, s]),
+        lambda s: distance_correlation(s, s),
+    ],
+    ids=["SimilarityLayer", "weights_rowsum", "rv_matrix", "distance_correlation"],
+)
+def test_nonsquare_array_raises_dimension_error(call):
+    # sym_matrix and layer_matrix share matcore.square_matrix
+    with pytest.raises(DimensionError, match="square"):
+        call(np.ones((2, 3)))

@@ -292,13 +292,6 @@ class TestWassersteinBarycenter:
         with pytest.raises(InvalidInput):
             barycenter_wasserstein([np.diag([1.0, -1.0]), np.eye(2)], [0.5, 0.5])
 
-    def test_nonconvergence_flagged(self):
-        rng = np.random.default_rng(12)
-        a, b = rand_spd(rng, 5), rand_spd(rng, 5)
-        cfg = BarycenterConfig(max_iter=1)
-        res = barycenter_wasserstein([a, b], [0.5, 0.5], cfg)
-        assert not res.converged
-
     def test_layer_reordering_invariance(self):
         rng = np.random.default_rng(13)
         mats = [rand_spd(rng, 5) for _ in range(3)]
@@ -331,6 +324,20 @@ class TestSolveBarycenter:
         mats = [rand_spd(rng, 5) for _ in range(3)]
         w = np.array([0.5, 0.3, 0.2])
         assert np.array_equal(solve_barycenter(mats, w, metric).matrix, solver(mats, w).matrix)
+
+    @pytest.mark.parametrize("max_iter", [1, 3])
+    @pytest.mark.parametrize("metric", ["riemannian", "wasserstein"])
+    def test_nonconvergence_flagged(self, metric, max_iter):
+        # iterations counts updates; the first residual precedes any update.  Three
+        # layers, since the Karcher mean of two is met in one step.
+        rng = np.random.default_rng(12)
+        mats = [rand_spd(rng, 5) for _ in range(3)]
+        cfg = BarycenterConfig(max_iter=max_iter)
+        res = solve_barycenter(mats, [0.5, 0.3, 0.2], metric, cfg)
+        assert not res.converged
+        assert res.iterations == max_iter
+        assert len(res.residual_history) == max_iter + 1
+        assert res.residual == res.residual_history[-1]
 
     def test_unknown_metric_raises(self):
         with pytest.raises(InvalidParameter):

@@ -11,6 +11,7 @@ from multifuse.snf import (
     cdp_step,
     default_k,
     global_normalize,
+    iterate,
     local_normalize,
     snf_fuse,
 )
@@ -146,6 +147,30 @@ class TestCdpStep:
             cdp_step([np.eye(2)], [np.eye(2)])
 
 
+@pytest.mark.parametrize(
+    "residuals, tol, limit, expected",
+    [
+        ([4.0, 2.0, 0.5, 0.1], 1.0, 10, (2, [4.0, 2.0, 0.5], True)),
+        ([4.0, 2.0, 1.0, 0.1], 1.0, 10, (2, [4.0, 2.0, 1.0], True)),
+        ([4.0, 3.0, 2.0, 1.0], 0.5, 2, (1, [4.0, 3.0], False)),
+        ([4.0, 3.0, 0.5, 0.1], 0.5, 3, (2, [4.0, 3.0, 0.5], True)),
+        ([0.0, 5.0], 0.5, 1, (0, [0.0], True)),
+    ],
+    ids=["below-tol", "equal-to-tol", "cap", "tol-at-cap", "first-residual"],
+)
+def test_iterate_stopping_rule(residuals, tol, limit, expected):
+    # the state is the index of its residual; no step runs past the stop
+    pulled = []
+
+    def steps():
+        for i, r in enumerate(residuals):
+            pulled.append(i)
+            yield r, i
+
+    assert iterate(steps(), tol, limit) == expected
+    assert len(pulled) == len(expected[1])
+
+
 class TestSnfFuse:
     def test_uniform_layers_constant_offdiagonal(self):
         lay = layer(np.ones((4, 4)))
@@ -198,6 +223,7 @@ class TestSnfFuse:
         res = snf_fuse(fixture_multiplex(), SnfConfig(k=2, epsilon=1e-15, max_iter=2))
         assert not res.converged
         assert res.iterations == 2
+        assert len(res.residual_history) == 2
 
     def test_needs_two_layers(self):
         with pytest.raises(InvalidInput):

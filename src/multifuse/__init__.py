@@ -24,8 +24,6 @@ from .matcore import (
     eig_floor,
     fro_norm,
     frobenius_inner,
-    is_psd,
-    mat_fn,
     sym_eigen,
     sym_matrix,
 )

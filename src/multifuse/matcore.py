@@ -20,11 +20,9 @@ __all__ = [
     "square_matrix",
     "sym_matrix",
     "sym_eigen",
-    "mat_fn",
     "spectral_fns",
     "frobenius_inner",
     "fro_norm",
-    "is_psd",
     "eig_floor",
     "sq_distances",
     "MATRIX_FUNCTIONS",
@@ -108,13 +106,16 @@ def eig_floor(M) -> float:
     return EIG_FLOOR_REL * max(1.0, float(np.trace(m)) / n)
 
 
-def spectral_fns(M: np.ndarray, *tags: str, clip: bool = False) -> tuple[np.ndarray, ...]:
+def spectral_fns(
+    M: np.ndarray, *tags: str, clip: bool = False, extremes: bool = False
+) -> tuple:
     """Several functions of one symmetric matrix from a single ``eigh``.
 
     ``M`` is not validated: it must be a float array that is symmetric up
     to roundoff (``eigh`` reads only its lower triangle), such as the output
     of ``sym_matrix`` or a congruence ``A @ S @ A``.  Returns one symmetric
-    matrix ``V f(L) V.T`` per tag, in the order given.
+    matrix ``V f(L) V.T`` per tag, in the order given, followed, when
+    ``extremes`` is set, by the pair ``(smallest, largest)`` eigenvalue.
 
     Checks, made once on the smallest eigenvalue: ``log`` and ``invsqrt``
     need it at or above the positivity floor ``1e-12 * max(1, trace/n)``;
@@ -150,27 +151,9 @@ def spectral_fns(M: np.ndarray, *tags: str, clip: bool = False) -> tuple[np.ndar
     for f in tags:
         x = (vectors * _SPECTRAL_MAPS[f](values)) @ vectors.T
         out.append((x + x.T) / 2.0)
+    if extremes:
+        out.append((lowest, float(values[-1])))
     return tuple(out)
-
-
-def mat_fn(M, f: str) -> np.ndarray:
-    """Apply a scalar function to a symmetric matrix through its spectrum.
-
-    Parameters
-    ----------
-    M : array_like
-        Symmetric matrix; validated and symmetrized by ``sym_matrix``.
-    f : {"sqrt", "invsqrt", "log", "exp"}
-        Function applied to the eigenvalues; eigenvectors are reused.
-
-    Raises
-    ------
-    SingularMatrix
-        For ``log``/``invsqrt`` when an eigenvalue falls below the positivity
-        floor, or for ``sqrt`` when an eigenvalue is too negative to be
-        attributed to roundoff.
-    """
-    return spectral_fns(sym_matrix(M), f)[0]
 
 
 def frobenius_inner(X, Y) -> float:
@@ -187,14 +170,6 @@ def frobenius_inner(X, Y) -> float:
 def fro_norm(X) -> float:
     """Frobenius norm of a matrix."""
     return float(np.linalg.norm(np.asarray(X, dtype=float), "fro"))
-
-
-def is_psd(M, tol: float = 0.0) -> bool:
-    """True iff the smallest eigenvalue of the symmetric part is >= -tol."""
-    if tol < 0:
-        raise InvalidInput("tol must be nonnegative")
-    m = sym_matrix(M)
-    return bool(np.linalg.eigvalsh(m).min() >= -tol)
 
 
 def sq_distances(rows: np.ndarray) -> np.ndarray:

@@ -5,8 +5,10 @@ squared distances under one of three metrics:
 
 * Frobenius: the weighted arithmetic mean (closed form).
 * Riemannian (affine-invariant): the unique solution of
-  ``sum_l w_l log(X^{1/2} S_l^{-1} X^{1/2}) = 0``, found by the fixed-point
-  iteration ``X <- X^{1/2} exp(sum_l w_l log(X^{-1/2} S_l X^{-1/2})) X^{1/2}``.
+  ``sum_l w_l log(X^{1/2} S_l^{-1} X^{1/2}) = 0``, found by the gradient
+  iteration ``X <- X^{1/2} exp(theta T) X^{1/2}`` on the tangent
+  ``T = sum_l w_l log(X^{-1/2} S_l X^{-1/2})``, with the step ``theta`` of
+  ``barycenter_riemannian``.
 * Wasserstein (Bures): the unique solution of
   ``X = sum_l w_l (X^{1/2} S_l X^{1/2})^{1/2}``, found by the fixed-point
   iteration ``X <- X^{-1/2} (sum_l w_l (X^{1/2} S_l X^{1/2})^{1/2})^2 X^{-1/2}``.
@@ -245,13 +247,51 @@ def barycenter_frobenius(layers, w) -> FusionResult:
     return fusion_result(labels, _weighted_sum(mats, w), "sma-frobenius", [], True, 0, w)
 
 
+def _bini_iannazzo_step(conds, w) -> float:
+    """Step length with a convergence proof (Bini and Iannazzo, LAA 438, 2013).
+
+    ``2 / sum_l w_l ((c_l + 1) / (c_l - 1)) log c_l``, where ``c_l`` is the
+    condition number of the whitened layer ``X^{-1/2} S_l X^{-1/2}``.  Each
+    term tends to 2 as ``c_l -> 1``; near 1 it is the series
+    ``2 + (c_l - 1)^2 / 6``, so near-identical layers give no 0/0.
+    """
+    total = 0.0
+    for wl, c in zip(w, conds):
+        d = c - 1.0
+        total += wl * (2.0 + d * d / 6.0 if d < 1e-4 else (c + 1.0) / d * np.log(c))
+    return 2.0 / total
+
+
+def _karcher_step(theta: float, theta_k: float, prev_sq: float, prev_dot: float,
+                  risen: bool) -> float:
+    """Step length of a Karcher update after the first.
+
+    The Barzilai-Borwein step ``theta <T', T'> / <T', T' - T>`` on the
+    previous and current tangents ``T'`` and ``T``, given as ``prev_sq =
+    <T', T'>`` and ``prev_dot = <T', T>``, clipped to ``[theta_k, 1]``.
+    ``theta_k`` itself when that denominator is not positive, or once the
+    residual has risen at any step.
+    """
+    denom = prev_sq - prev_dot
+    if risen or not denom > 0:
+        return theta_k
+    return min(1.0, max(theta_k, theta * prev_sq / denom))
+
+
 def barycenter_riemannian(layers, w, cfg: BarycenterConfig | None = None) -> FusionResult:
     """Affine-invariant (Karcher) mean of positive definite layers.
 
     Starts from the arithmetic mean and iterates the exponential-map update
-    until the tangent-space residual ``||sum_l w_l log(X^{-1/2} S_l
-    X^{-1/2})||_F`` is at most ``tol * m``.  Hitting ``max_iter`` returns a
-    result flagged ``converged=False``.
+    ``X <- X^{1/2} exp(theta T) X^{1/2}`` on the tangent ``T = sum_l w_l
+    log(X^{-1/2} S_l X^{-1/2})`` until ``||T||_F`` is at most ``tol * m``.
+    Hitting ``max_iter`` returns a result flagged ``converged=False``.
+
+    The first step is ``theta = 1``, which solves two layers at once: from
+    the arithmetic mean their whitened forms sum to I, so they commute.
+    Later steps are the Barzilai-Borwein step of ``_karcher_step``, clipped
+    to ``[theta_k, 1]`` with ``theta_k`` the step of Bini and Iannazzo
+    (``_bini_iannazzo_step``), which comes with a convergence proof.  Once
+    the residual has risen at any step, every later step is ``theta_k``.
     """
     cfg = cfg or BarycenterConfig()
     labels, mats = _coerce_layers(layers)
@@ -259,13 +299,26 @@ def barycenter_riemannian(layers, w, cfg: BarycenterConfig | None = None) -> Fus
     mats = _prepare_pd(mats, 1e-8 if cfg.jitter is None else cfg.jitter, require_pd=True)
 
     def karcher(x):
+        theta, prev, risen = 1.0, None, False
         while True:
             xs, xis = spectral_fns(x, "sqrt", "invsqrt")
             tangent = np.zeros_like(x)
+            conds = []
             for wl, s in zip(w, mats):
-                tangent += wl * spectral_fns(xis @ s @ xis, "log")[0]
-            yield fro_norm(tangent), x
-            x = xs @ spectral_fns(tangent, "exp")[0] @ xs
+                log_s, (lo, hi) = spectral_fns(xis @ s @ xis, "log", extremes=True)
+                tangent += wl * log_s
+                conds.append(hi / lo)
+            residual = fro_norm(tangent)
+            yield residual, x
+            if prev is not None:
+                prev_tangent, prev_residual = prev
+                risen = risen or residual > prev_residual
+                theta = _karcher_step(
+                    theta, _bini_iannazzo_step(conds, w), prev_residual**2,
+                    float(np.vdot(prev_tangent, tangent)), risen,
+                )
+            prev = tangent, residual
+            x = xs @ spectral_fns(theta * tangent, "exp")[0] @ xs
             x = (x + x.T) / 2.0
 
     # The first residual precedes any update, so max_iter updates give max_iter + 1.

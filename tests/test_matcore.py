@@ -12,8 +12,6 @@ from multifuse.matcore import (
     eig_floor,
     fro_norm,
     frobenius_inner,
-    is_psd,
-    mat_fn,
     spectral_fns,
     sq_distances,
     sym_eigen,
@@ -22,6 +20,11 @@ from multifuse.matcore import (
 
 SQRT3 = np.sqrt(3.0)
 TAG_SETS = [c for r in range(1, 5) for c in combinations(MATRIX_FUNCTIONS, r)]
+
+
+def mat_fn(M, f):
+    """One matrix function of a validated matrix through the spectral kernel."""
+    return spectral_fns(sym_matrix(M), f)[0]
 
 
 class TestSymMatrix:
@@ -84,6 +87,8 @@ class TestSymEigen:
 
 
 class TestMatFn:
+    """The matrix functions of ``spectral_fns``, one tag at a time and together."""
+
     def test_sqrt_diagonal(self):
         assert np.allclose(mat_fn(np.diag([4.0, 9.0]), "sqrt"), np.diag([2.0, 3.0]))
 
@@ -153,6 +158,13 @@ class TestMatFn:
         assert np.array_equal(root, np.diag([2.0, 0.0]))
         assert np.allclose(spectral_fns(np.diag([-50.0, 1.0]), "exp")[0], np.diag(np.exp([-50.0, 1.0])))
 
+    def test_spectral_fns_extremes(self):
+        m = sym_matrix([[2.0, 1.0], [1.0, 2.0]])
+        root, (lo, hi) = spectral_fns(m, "sqrt", extremes=True)
+        assert np.array_equal(root, spectral_fns(m, "sqrt")[0])
+        assert np.allclose((lo, hi), (1.0, 3.0), rtol=1e-14)
+        assert spectral_fns(np.diag([5.0, -2.0, 0.5]), extremes=True) == ((-2.0, 5.0),)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_spectral_fns_reject_nonfinite(self, bad):
         m = np.eye(3)
@@ -190,22 +202,6 @@ class TestFrobeniusInner:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             frobenius_inner(np.eye(2), np.eye(3))
-
-
-class TestIsPsd:
-    def test_identity(self):
-        assert is_psd(np.eye(3))
-
-    def test_sign_case(self):
-        assert not is_psd(np.diag([1.0, -1.0]), tol=0.0)
-
-    def test_two_by_two(self):
-        # eigenvalues 3 and -1
-        assert not is_psd([[1.0, 2.0], [2.0, 1.0]], tol=1e-12)
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(InvalidInput):
-            is_psd(np.eye(2), tol=-1.0)
 
 
 def test_eig_floor_scales_with_trace():

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import fractional_matrix_power
 
 from multifuse.errors import (
     DegenerateSpectrum,
@@ -12,7 +15,7 @@ from multifuse.errors import (
 )
 from multifuse import matcore, sma
 from multifuse.matcore import fro_norm
-from multifuse.simbuild import FeatureTable, SimilarityLayer, rbf_similarity
+from multifuse.simbuild import FeatureTable, Multiplex, SimilarityLayer, rbf_similarity
 from multifuse.sma import (
     BarycenterConfig,
     barycenter_frobenius,
@@ -261,6 +264,109 @@ class TestRiemannianBarycenter:
         base = barycenter_riemannian(mats, w)
         permuted = barycenter_riemannian([m[np.ix_(perm, perm)] for m in mats], w)
         assert fro_norm(permuted.matrix - base.matrix[np.ix_(perm, perm)]) <= 1e-9
+
+
+def planted_rbf_multiplex(n, groups, m=9, p=20, seed=0):
+    """RBF layers over planted groups, shaped like the pipeline's inputs.
+
+    Each entity's profile in a layer is 0.75 x its group's profile plus
+    0.25 x uniform noise, with about 10 % of the cells zeroed.
+    """
+    rng = np.random.default_rng(seed)
+    groups_of = np.arange(n) % groups
+    rng.shuffle(groups_of)
+    labels = tuple(f"e{i:04d}" for i in range(n))
+    layers = []
+    for _ in range(m):
+        base = rng.uniform(0.05, 1.0, (groups, p))
+        rows = 0.75 * base[groups_of] + 0.25 * rng.uniform(0.0, 1.0, (n, p))
+        rows[rng.random((n, p)) < 0.1] = 0.0
+        layers.append(rbf_similarity(FeatureTable(labels, rows)))
+    return Multiplex(tuple(layers))
+
+
+class TestKarcherStep:
+    def test_weighted_pair_in_one_update(self):
+        # from the arithmetic mean the whitened pair sums to I, so the two
+        # commute and the first step, theta = 1, lands on the mean
+        rng = np.random.default_rng(19)
+        for w2 in (0.1, 0.3, 0.8):
+            a, b = rand_spd(rng, 6), rand_spd(rng, 6)
+            res = barycenter_riemannian([a, b], [1.0 - w2, w2])
+            assert res.converged and res.iterations == 1
+            a12 = fractional_matrix_power(a, 0.5)
+            am12 = np.linalg.inv(a12)
+            expected = a12 @ fractional_matrix_power(am12 @ b @ am12, w2) @ a12
+            assert fro_norm(res.matrix - np.real(expected)) <= 1e-9
+
+    def test_near_identical_layers_give_finite_step(self):
+        assert sma._bini_iannazzo_step([1.0, 1.0], [0.5, 0.5]) == 1.0
+        assert np.isclose(sma._bini_iannazzo_step([1.0 + 1e-13, 1.0], [0.5, 0.5]), 1.0)
+        # the series and the closed form agree where they meet
+        below, above = (sma._bini_iannazzo_step([c], [1.0]) for c in (1.0 + 0.99e-4, 1.0 + 1.01e-4))
+        assert abs(below - above) <= 1e-9
+        # a tol no residual meets forces updates with every c_l within roundoff of 1
+        rng = np.random.default_rng(20)
+        s = rand_spd(rng, 5)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            res = barycenter_riemannian(
+                [s, s * (1.0 + 1e-13), s], uniform_weights(3), BarycenterConfig(tol=1e-300, max_iter=3)
+            )
+        assert res.iterations == 3 and np.isfinite(res.residual_history).all()
+        assert fro_norm(res.matrix - s) <= 1e-10 * fro_norm(s)
+
+    def test_step_rule(self):
+        # Barzilai-Borwein step theta <T', T'> / <T', T' - T>, clipped to [theta_k, 1]
+        assert sma._karcher_step(0.5, 0.2, 1.0, 0.2, False) == 0.625
+        assert sma._karcher_step(0.9, 0.2, 1.0, 0.5, False) == 1.0
+        assert sma._karcher_step(0.5, 0.2, 1.0, -9.0, False) == 0.2
+        # theta_k when the denominator is not positive or after a rise
+        assert sma._karcher_step(0.5, 0.2, 1.0, 1.0, False) == 0.2
+        assert sma._karcher_step(0.5, 0.2, 1.0, 0.2, True) == 0.2
+
+    def test_theta_k_after_the_residual_rises(self, monkeypatch):
+        steps = []
+        pick = sma._karcher_step
+
+        def recording(theta, theta_k, prev_sq, prev_dot, risen):
+            steps.append((risen, theta_k, pick(theta, theta_k, prev_sq, prev_dot, risen)))
+            return steps[-1][2]
+
+        monkeypatch.setattr(sma, "_karcher_step", recording)
+        rng = np.random.default_rng(1)
+        mats = [rand_spd(rng, 5, 1e-2, 1e2) for _ in range(4)]
+        res = barycenter_riemannian(mats, [0.4, 0.3, 0.2, 0.1])
+        assert res.converged
+        history = np.array(res.residual_history)
+        first_rise = int(np.flatnonzero(history[1:] > history[:-1])[0]) + 1
+        # steps[j] picks the update after residual j + 1
+        assert not any(risen for risen, _, _ in steps[: first_rise - 1])
+        after = steps[first_rise - 1:]
+        assert after and all(risen and theta == theta_k for risen, theta_k, theta in after)
+        assert all(0.0 < theta_k <= 1.0 for _, theta_k, _ in steps)
+
+    def test_eigh_calls_per_update(self, monkeypatch):
+        # one for X^{1/2} and X^{-1/2}, one log per layer, one exp
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a):
+            calls.append(1)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        rng = np.random.default_rng(21)
+        mats = [rand_spd(rng, 5) for _ in range(4)]
+        res = barycenter_riemannian(mats, uniform_weights(4))
+        assert res.converged and res.iterations > 1
+        assert len(calls) == res.iterations * (4 + 2) + 4 + 1
+
+    def test_converges_at_n400(self):
+        # four planted groups over nine RBF layers: the step theta = 1 never converges here
+        mx = planted_rbf_multiplex(400, 4)
+        res = barycenter_riemannian(mx, weights_rowsum(rv_matrix(mx)), BarycenterConfig(max_iter=40))
+        assert res.converged
 
 
 class TestWassersteinBarycenter:

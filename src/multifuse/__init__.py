@@ -8,7 +8,6 @@ correlation and Louvain modularity clustering.
 """
 
 from .errors import (
-    DegenerateGroup,
     DegenerateSpectrum,
     DimensionError,
     EmptyAfterFilter,
@@ -29,14 +28,9 @@ from .matcore import (
 )
 from .simbuild import (
     FeatureTable,
-    IncidenceMatrix,
     Multiplex,
     SimilarityLayer,
     auto_sigma,
-    cosine_from_projection,
-    jaccard_from_projection,
-    one_mode_projection,
-    presence_similarity,
     rbf_similarity,
 )
 from .snf import (

@@ -32,10 +32,6 @@ class SingularMatrix(MultifuseError):
     exit_code = 3
 
 
-class DegenerateGroup(MultifuseError):
-    """An empty group cannot be similarity-scored."""
-
-
 class DegenerateSpectrum(MultifuseError):
     """The leading eigenvalue is not simple, so no canonical eigenvector exists."""
 

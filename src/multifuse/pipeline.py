@@ -605,7 +605,7 @@ def load_similarity_csv(path) -> SimilarityLayer:
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
     try:
-        return SimilarityLayer(labels, values, "external")
+        return SimilarityLayer(labels, values)
     except InvalidInput as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

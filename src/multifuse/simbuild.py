@@ -1,9 +1,8 @@
 """Construction of per-layer similarity matrices.
 
-Two input shapes are supported: feature tables (one observation vector per
-entity) turned into similarities with an RBF kernel or a joint
-presence-absence indicator, and bipartite incidence matrices projected onto
-the shared node set and scored with the Jaccard or cosine coefficient.
+A feature table (one observation vector per entity) becomes a similarity
+layer through a Gaussian (RBF) kernel on the squared distances between its
+rows.  Layers over one shared node set stack into a multiplex.
 """
 
 from __future__ import annotations
@@ -12,28 +11,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateGroup, DimensionError, InvalidInput, InvalidParameter
+from .errors import DimensionError, InvalidInput, InvalidParameter
 from .matcore import sq_distances, square_matrix, sym_matrix
 
 __all__ = [
     "FeatureTable",
-    "IncidenceMatrix",
     "SimilarityLayer",
     "Multiplex",
     "rbf_similarity",
     "auto_sigma",
-    "presence_similarity",
-    "one_mode_projection",
-    "jaccard_from_projection",
-    "cosine_from_projection",
 ]
-
-LAYER_KINDS = ("rbf", "presence", "jaccard", "cosine", "external")
 
 
 def _lock(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _check_unique(names: tuple[str, ...], what: str):
+    """Raise ``InvalidInput`` naming the first of ``names`` that repeats."""
+    seen = set()
+    for x in names:
+        if x in seen:
+            raise InvalidInput(f"duplicate {what} {x!r}")
+        seen.add(x)
 
 
 @dataclass
@@ -68,53 +69,27 @@ class FeatureTable:
 
 
 @dataclass
-class IncidenceMatrix:
-    """Binary membership of items (rows) in groups (columns)."""
-
-    items: tuple[str, ...]
-    groups: tuple[str, ...]
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.array(self.entries, dtype=float)
-        if e.ndim != 2 or e.shape[0] < 1 or e.shape[1] < 1:
-            raise InvalidInput(f"incidence matrix must be 2-D and nonempty, got {e.shape}")
-        if not np.isin(e, (0.0, 1.0)).all():
-            raise InvalidInput("incidence entries must be 0 or 1")
-        self.items = tuple(str(x) for x in self.items)
-        self.groups = tuple(str(x) for x in self.groups)
-        if len(self.items) != e.shape[0] or len(self.groups) != e.shape[1]:
-            raise InvalidInput("label counts do not match incidence shape")
-        self.entries = _lock(e)
-
-
-@dataclass
 class SimilarityLayer:
-    """Symmetric similarity matrix with entries in [0, 1] over labelled nodes.
+    """Symmetric similarity matrix with entries in [0, 1] over distinct node labels.
 
-    ``kind`` records how the matrix was built; ``external`` marks matrices
-    loaded from files or produced by fusion rather than by one of the four
-    constructions here.  Constructed kinds carry a unit diagonal.
+    The diagonal is not checked: ``rbf_similarity`` sets it to 1, while a
+    matrix loaded from a file or produced by fusion keeps the one it has.
     """
 
     labels: tuple[str, ...]
     S: np.ndarray
-    kind: str = "external"
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
-            raise InvalidParameter(f"unknown layer kind {self.kind!r}")
         s = sym_matrix(self.S)
         self.labels = tuple(str(x) for x in self.labels)
         if len(self.labels) != s.shape[0]:
             raise InvalidInput(f"{len(self.labels)} labels for order {s.shape[0]}")
+        _check_unique(self.labels, "node label")
         if s.min() < 0.0 or s.max() > 1.0:
             raise InvalidInput(
                 f"similarity entries must lie in [0, 1]; range "
                 f"[{s.min():.3e}, {s.max():.3e}]"
             )
-        if self.kind != "external" and not np.all(np.diag(s) == 1.0):
-            raise InvalidInput(f"{self.kind} similarity must have unit diagonal")
         self.S = _lock(s)
 
     @property
@@ -160,6 +135,7 @@ class Multiplex:
             self.names = tuple(str(x) for x in self.names)
         if len(self.names) != len(self.layers):
             raise InvalidInput("one name per layer required")
+        _check_unique(self.names, "layer name")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -206,63 +182,12 @@ def rbf_similarity(table: FeatureTable, sigma: float | None = None) -> Similarit
 
     ``sigma=None`` selects the scale-adaptive default from ``auto_sigma``.
     """
-    if sigma is not None and not sigma > 0:
-        raise InvalidParameter(f"sigma must be positive, got {sigma}")
+    if sigma is not None and not 0 < sigma < np.inf:
+        raise InvalidParameter(f"sigma must be positive and finite, got {sigma}")
     if sigma is None:
         sigma = auto_sigma(table)
     d2 = sq_distances(table.rows)
     s = np.exp(-d2 / sigma)
     np.fill_diagonal(s, 1.0)
-    return SimilarityLayer(table.labels, s, "rbf")
+    return SimilarityLayer(table.labels, s)
 
-
-def presence_similarity(table: FeatureTable) -> SimilarityLayer:
-    """Joint presence-absence similarity: 1 where observations coincide.
-
-    Every observation must be 0 or 1.
-    """
-    rows = table.rows
-    if not np.isin(rows, (0.0, 1.0)).all():
-        raise InvalidInput("presence similarity needs binary observations")
-    s = np.all(rows[:, None, :] == rows[None, :, :], axis=-1).astype(float)
-    return SimilarityLayer(table.labels, s, "presence")
-
-
-def one_mode_projection(B: IncidenceMatrix) -> np.ndarray:
-    """Co-membership counts ``B.T @ B`` over the group set.
-
-    Entry (i, j) counts the items belonging to both group i and group j;
-    the diagonal holds group sizes.
-    """
-    return B.entries.T @ B.entries
-
-
-def _projection_diagonal(g: np.ndarray) -> np.ndarray:
-    d = np.diag(g)
-    empty = np.flatnonzero(d <= 0)
-    if empty.size:
-        raise DegenerateGroup(
-            f"groups with no items cannot be similarity-scored: indices {empty.tolist()}"
-        )
-    return d
-
-
-def jaccard_from_projection(G, labels=None) -> SimilarityLayer:
-    """Jaccard similarity ``g_ij / (g_ii + g_jj - g_ij)`` of a projection."""
-    g = sym_matrix(G)
-    d = _projection_diagonal(g)
-    denom = d[:, None] + d[None, :] - g
-    if denom.min() <= 0:
-        raise InvalidInput("jaccard denominator must be positive for every pair")
-    s = g / denom
-    np.fill_diagonal(s, 1.0)
-    return SimilarityLayer(labels or default_labels(g.shape[0]), s, "jaccard")
-
-
-def cosine_from_projection(G, labels=None) -> SimilarityLayer:
-    """Cosine similarity ``g_ij / sqrt(g_ii * g_jj)`` of a projection."""
-    g = sym_matrix(G)
-    d = _projection_diagonal(g)
-    s = g / np.sqrt(np.outer(d, d))
-    np.fill_diagonal(s, 1.0)
-    return SimilarityLayer(labels or default_labels(g.shape[0]), s, "cosine")

@@ -94,7 +94,7 @@ class FusionResult:
                 f"monoplex entries outside [0, 1] by more than {CLIP_TOL:g}: "
                 f"range [{m.min():.6g}, {m.max():.6g}]"
             )
-        return SimilarityLayer(self.labels, np.clip(m, 0.0, 1.0), "external")
+        return SimilarityLayer(self.labels, np.clip(m, 0.0, 1.0))
 
 
 def iterate(steps, tol: float, limit: int):

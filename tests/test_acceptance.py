@@ -61,7 +61,7 @@ def two_block_layer(n=8, within=0.9, between=0.1):
     s[:half, :half] = within
     s[half:, half:] = within
     np.fill_diagonal(s, 1.0)
-    return SimilarityLayer(tuple(f"n{i}" for i in range(n)), s, "external")
+    return SimilarityLayer(tuple(f"n{i}" for i in range(n)), s)
 
 
 def offdiag(m):
@@ -156,7 +156,7 @@ def test_c06_weight_contracts():
             assert abs(float(w.sum()) - 1.0) <= 1e-12
 
     s = rand_cp(rng, 7)
-    layer = SimilarityLayer(tuple(f"n{i}" for i in range(7)), s, "external")
+    layer = SimilarityLayer(tuple(f"n{i}" for i in range(7)), s)
     rv = rv_matrix(Multiplex((layer, layer, layer, layer)))
     for w in (weights_frobenius(rv), weights_rowsum(rv)):
         assert np.abs(w - 0.25).max() <= 1e-12
@@ -172,7 +172,7 @@ def test_c07_snf_convergence_and_oracle():
             s = rng.uniform(0.0, 1.0, (12, 12))
             s = (s + s.T) / 2
             np.fill_diagonal(s, 1.0)
-            mats.append(SimilarityLayer(tuple(f"n{i}" for i in range(12)), s, "external"))
+            mats.append(SimilarityLayer(tuple(f"n{i}" for i in range(12)), s))
         res = snf_fuse(Multiplex(tuple(mats)), cfg)
         assert res.converged and res.iterations <= 200
         assert res.residual < 1e-6
@@ -181,7 +181,7 @@ def test_c07_snf_convergence_and_oracle():
     s2 = np.array([[1.0, 0.2, 0.7], [0.2, 1.0, 0.5], [0.7, 0.5, 1.0]])
     s3 = np.array([[1.0, 0.5, 0.4], [0.5, 1.0, 0.6], [0.4, 0.6, 1.0]])
     labels = ("a", "b", "c")
-    mx = Multiplex(tuple(SimilarityLayer(labels, s, "external") for s in (s1, s2, s3)))
+    mx = Multiplex(tuple(SimilarityLayer(labels, s) for s in (s1, s2, s3)))
     res = snf_fuse(mx, SnfConfig(k=2, epsilon=1e-8))
     ref, _, _ = snf_reference([s1, s2, s3], k=2, eps=1e-8, max_iter=100)
     assert res.converged

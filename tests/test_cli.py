@@ -296,6 +296,17 @@ class TestExport:
         assert capsys.readouterr().err.startswith("error: threshold must be finite")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["export", "cluster"])
+    def test_repeated_label_exit_code(self, tmp_path, capsys, command):
+        p = matrix_csv(tmp_path, "m.csv", block_matrix(), ("a", "a", "b", "c", "d", "e"))
+        out = tmp_path / "g.graphml"
+        args = {"export": ["--format", "graphml", "--out", str(out)], "cluster": []}[command]
+        assert main([command, p, *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {p}: duplicate node label 'a'\n"
+        assert not out.exists()
+
     def test_graphml_includes_louvain_communities(self, tmp_path):
         p = matrix_csv(tmp_path, "m.csv", block_matrix())
         out = tmp_path / "g.graphml"
@@ -396,6 +407,17 @@ class TestRun:
         bad.write_text("entity,s1\nx,oops\n")
         assert main(command_args(command, tmp_path, [str(bad), inputs(1)[0]])) == 2
         assert capsys.readouterr().err.startswith("error: [stage load] ")
+
+    @pytest.mark.parametrize("command", ["run", "fuse"])
+    def test_repeated_layer_name_exit_code(self, tmp_path, capsys, command):
+        paths = []
+        for sub, src in zip("ab", inputs(2)):
+            (tmp_path / sub).mkdir()
+            paths.append(str(tmp_path / sub / "L.csv"))
+            Path(paths[-1]).write_bytes(Path(src).read_bytes())
+        assert main(command_args(command, tmp_path, paths)) == 2
+        assert capsys.readouterr().err == "error: [stage similarity] duplicate layer name 'L'\n"
+        assert not (tmp_path / "out").exists()
 
     def test_weight_table_error_exit_code(self, tmp_path, capsys, monkeypatch):
         def degenerate(rv):

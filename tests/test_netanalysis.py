@@ -113,8 +113,8 @@ class TestDistanceCorrelation:
             distance_correlation(np.eye(3), np.eye(4))
 
     def test_label_mismatch(self):
-        a = SimilarityLayer(("a", "b"), np.eye(2), "external")
-        b = SimilarityLayer(("a", "c"), np.eye(2), "external")
+        a = SimilarityLayer(("a", "b"), np.eye(2))
+        b = SimilarityLayer(("a", "c"), np.eye(2))
         with pytest.raises(InvalidInput):
             distance_correlation(a, b)
 
@@ -271,7 +271,7 @@ class TestModularity:
         assert q2 < q1
 
     def test_label_mismatch_rejected(self):
-        lay = SimilarityLayer(("a", "b"), np.eye(2), "external")
+        lay = SimilarityLayer(("a", "b"), np.eye(2))
         part = Partition(("a", "x"), np.array([0, 1]), 0.0)
         with pytest.raises(InvalidInput):
             modularity(lay, part)

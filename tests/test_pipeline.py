@@ -220,7 +220,7 @@ class TestMatrixCsv:
 
 class TestExport:
     def layer(self):
-        return SimilarityLayer(("a", "b"), [[1.0, 0.4], [0.4, 1.0]], "external")
+        return SimilarityLayer(("a", "b"), [[1.0, 0.4], [0.4, 1.0]])
 
     def test_edge_list_minimal(self, tmp_path):
         out = tmp_path / "e.csv"
@@ -492,6 +492,19 @@ class TestRunPipeline:
                 "paired": tables["frobenius" if method == "sma-frobenius" else "rowsum"],
             }[mode]
             assert np.array_equal(result.weights, expected), method
+
+    def test_repeated_layer_name_rejected(self, tmp_path):
+        # a/L.csv and b/L.csv would share one layers/L.csv and one rbf_sigma entry
+        paths = []
+        for sub, src in zip("ab", self.paths()):
+            (tmp_path / sub).mkdir()
+            paths.append(str(tmp_path / sub / "L.csv"))
+            Path(paths[-1]).write_bytes(Path(src).read_bytes())
+        cfg = PipelineConfig(inputs=paths, output_dir=str(tmp_path / "out"))
+        with pytest.raises(InvalidInput, match="duplicate layer name 'L'") as info:
+            run_pipeline(cfg)
+        assert info.value.__notes__ == ["[stage similarity]"]
+        assert not (tmp_path / "out").exists()
 
     def test_stage_error_keeps_type_and_attributes(self, tmp_path, monkeypatch):
         def denied(paths):

@@ -1,20 +1,9 @@
 import numpy as np
 import pytest
 
-from multifuse.errors import DegenerateGroup, DimensionError, InvalidInput, InvalidParameter
+from multifuse.errors import DimensionError, InvalidInput, InvalidParameter
 from multifuse.netanalysis import distance_correlation, louvain_communities, modularity
-from multifuse.simbuild import (
-    FeatureTable,
-    IncidenceMatrix,
-    Multiplex,
-    SimilarityLayer,
-    auto_sigma,
-    cosine_from_projection,
-    jaccard_from_projection,
-    one_mode_projection,
-    presence_similarity,
-    rbf_similarity,
-)
+from multifuse.simbuild import FeatureTable, Multiplex, SimilarityLayer, auto_sigma, rbf_similarity
 from multifuse.sma import rv_matrix, weights_rowsum
 from multifuse.snf import global_normalize, local_normalize
 
@@ -38,35 +27,30 @@ class TestTypes:
 
     def test_layer_range_check(self):
         with pytest.raises(InvalidInput):
-            SimilarityLayer(("a", "b"), [[1.0, 1.5], [1.5, 1.0]], "external")
+            SimilarityLayer(("a", "b"), [[1.0, 1.5], [1.5, 1.0]])
         with pytest.raises(InvalidInput):
-            SimilarityLayer(("a", "b"), [[1.0, -0.1], [-0.1, 1.0]], "external")
+            SimilarityLayer(("a", "b"), [[1.0, -0.1], [-0.1, 1.0]])
 
-    def test_layer_diagonal_check_for_constructed_kinds(self):
-        with pytest.raises(InvalidInput):
-            SimilarityLayer(("a", "b"), [[0.5, 0.2], [0.2, 0.5]], "rbf")
-        # external matrices need not have a unit diagonal
-        SimilarityLayer(("a", "b"), [[0.5, 0.2], [0.2, 0.5]], "external")
-
-    def test_layer_unknown_kind(self):
-        with pytest.raises(InvalidParameter):
-            SimilarityLayer(("a",), [[1.0]], "pearson")
+    def test_layer_rejects_duplicate_labels(self):
+        with pytest.raises(InvalidInput, match="duplicate node label 'a'"):
+            SimilarityLayer(("a", "a", "b"), np.eye(3))
 
     def test_multiplex_label_agreement(self):
-        a = SimilarityLayer(("a", "b"), np.eye(2), "external")
-        b = SimilarityLayer(("a", "c"), np.eye(2), "external")
+        a = SimilarityLayer(("a", "b"), np.eye(2))
+        b = SimilarityLayer(("a", "c"), np.eye(2))
         with pytest.raises(DimensionError):
             Multiplex((a, b))
 
     def test_multiplex_default_names(self):
-        a = SimilarityLayer(("a", "b"), np.eye(2), "external")
+        a = SimilarityLayer(("a", "b"), np.eye(2))
         mx = Multiplex((a, a))
         assert mx.names == ("layer0", "layer1")
         assert mx.m == 2 and mx.n == 2
 
-    def test_incidence_requires_binary(self):
-        with pytest.raises(InvalidInput):
-            IncidenceMatrix(("i",), ("g",), [[0.5]])
+    def test_multiplex_rejects_duplicate_names(self):
+        a = SimilarityLayer(("a", "b"), np.eye(2))
+        with pytest.raises(InvalidInput, match="duplicate layer name 'L'"):
+            Multiplex((a, a, a), ("L", "M", "L"))
 
 
 class TestRbf:
@@ -85,10 +69,21 @@ class TestRbf:
         assert (lay.S >= 1 - 1e-6).all()
 
     def test_sigma_validation(self):
-        with pytest.raises(InvalidParameter):
-            rbf_similarity(table([0.0, 1.0]), sigma=0.0)
-        with pytest.raises(InvalidParameter):
-            rbf_similarity(table([0.0, 1.0]), sigma=-2.0)
+        for sigma in (0.0, -2.0, np.inf, np.nan):
+            with pytest.raises(InvalidParameter, match="positive and finite"):
+                rbf_similarity(table([0.0, 1.0]), sigma=sigma)
+
+    def test_unit_diagonal(self):
+        # the RV weight tables rely on it: see README, "Both weight tables always exist"
+        rng = np.random.default_rng(4)
+        for sigma in (None, 0.01, 2.0):  # None: auto_sigma
+            for _ in range(20):
+                rows = rng.uniform(-1e3, 1e3, (rng.integers(1, 12), rng.integers(1, 6)))
+                assert np.all(np.diag(rbf_similarity(table(rows), sigma).S) == 1.0)
+
+    def test_duplicate_labels(self):
+        with pytest.raises(InvalidInput, match="duplicate node label 'x'"):
+            rbf_similarity(table([0.0, 1.0, 2.0], ["x", "y", "x"]))
 
     def test_auto_sigma_is_mean_squared_distance(self):
         # distances^2 between scalars 0, 1, 3: {1, 9, 4}, mean 14/3
@@ -109,88 +104,6 @@ class TestRbf:
         rng = np.random.default_rng(2)
         lay = rbf_similarity(table(rng.standard_normal((9, 5))))
         assert np.array_equal(lay.S, lay.S.T)
-
-
-class TestPresence:
-    def test_equality_and_inequality(self):
-        lay = presence_similarity(table([1.0, 0.0, 1.0]))
-        assert lay.S[0, 2] == 1.0
-        assert lay.S[0, 1] == 0.0
-        assert lay.S[1, 2] == 0.0
-
-    def test_constant_vector(self):
-        lay = presence_similarity(table([1.0] * 5))
-        assert np.array_equal(lay.S, np.ones((5, 5)))
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(InvalidInput):
-            presence_similarity(table([0.0, 0.5]))
-
-
-class TestProjection:
-    def test_identity(self):
-        b = IncidenceMatrix(("i1", "i2", "i3"), ("g1", "g2", "g3"), np.eye(3))
-        assert np.array_equal(one_mode_projection(b), np.eye(3))
-
-    def test_hand_product(self):
-        b = IncidenceMatrix(
-            ("i1", "i2", "i3"), ("g1", "g2"), [[1, 1], [1, 0], [0, 1]]
-        )
-        assert np.array_equal(one_mode_projection(b), [[2, 1], [1, 2]])
-
-    def test_empty_column(self):
-        b = IncidenceMatrix(("i1",), ("g1", "g2"), [[1, 0]])
-        g = one_mode_projection(b)
-        assert g[1, 1] == 0.0
-
-
-class TestJaccardCosine:
-    def test_jaccard_full_overlap(self):
-        lay = jaccard_from_projection([[3.0, 3.0], [3.0, 3.0]])
-        assert lay.S[0, 1] == 1.0
-
-    def test_jaccard_value(self):
-        lay = jaccard_from_projection([[3.0, 2.0], [2.0, 4.0]])
-        assert lay.S[0, 1] == 2.0 / 5.0
-
-    def test_jaccard_disjoint(self):
-        lay = jaccard_from_projection([[3.0, 0.0], [0.0, 4.0]])
-        assert lay.S[0, 1] == 0.0
-
-    def test_jaccard_empty_group(self):
-        with pytest.raises(DegenerateGroup):
-            jaccard_from_projection([[0.0, 0.0], [0.0, 4.0]])
-
-    def test_cosine_value(self):
-        lay = cosine_from_projection([[4.0, 2.0], [2.0, 1.0]])
-        assert lay.S[0, 1] == 1.0
-
-    def test_cosine_orthogonal(self):
-        lay = cosine_from_projection([[4.0, 0.0], [0.0, 1.0]])
-        assert lay.S[0, 1] == 0.0
-
-    def test_cosine_identical_columns(self):
-        lay = cosine_from_projection([[2.0, 2.0], [2.0, 2.0]])
-        assert lay.S[0, 1] == 1.0
-
-    def test_cosine_empty_group(self):
-        with pytest.raises(DegenerateGroup):
-            cosine_from_projection([[4.0, 0.0], [0.0, 0.0]])
-
-    def test_projection_scores_are_psd_and_nonnegative(self):
-        # random bipartite memberships; every group nonempty
-        rng = np.random.default_rng(3)
-        for _ in range(500):
-            p, n = rng.integers(3, 12), rng.integers(2, 7)
-            e = (rng.random((p, n)) < 0.4).astype(float)
-            e[rng.integers(0, p, n), np.arange(n)] = 1.0
-            b = IncidenceMatrix(
-                tuple(f"i{i}" for i in range(p)), tuple(f"g{j}" for j in range(n)), e
-            )
-            g = one_mode_projection(b)
-            for lay in (jaccard_from_projection(g), cosine_from_projection(g)):
-                assert lay.S.min() >= 0.0
-                assert np.linalg.eigvalsh(lay.S).min() >= -1e-10
 
 
 NAN_MATRIX = np.array([[1.0, 0.5, np.nan], [0.5, 1.0, 0.2], [np.nan, 0.2, 1.0]])

@@ -472,7 +472,6 @@ class TestOrderings:
             res.as_layer()
         ok = barycenter_frobenius([rand_cp(rng, 4), rand_cp(rng, 4)], [0.5, 0.5])
         layer = ok.as_layer()
-        assert layer.kind == "external"
         assert layer.S.min() >= 0.0 and layer.S.max() <= 1.0
 
     def test_swelling_order_sample(self):

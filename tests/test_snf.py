@@ -28,7 +28,7 @@ FIX_S3 = np.array([[1.0, 0.5, 0.4], [0.5, 1.0, 0.6], [0.4, 0.6, 1.0]])
 
 def layer(mat, labels=None):
     labels = labels or tuple(f"n{i}" for i in range(np.shape(mat)[0]))
-    return SimilarityLayer(labels, mat, "external")
+    return SimilarityLayer(labels, mat)
 
 
 def fixture_multiplex():
@@ -244,8 +244,7 @@ class TestSnfFuse:
             assert res.matrix.min() >= 0.0 and res.matrix.max() <= 1.0
             assert np.array_equal(np.diag(res.matrix), np.ones(n))
             assert (np.stack(res.residual_history) >= 0).all()
-            layer_obj = res.as_layer()
-            assert layer_obj.kind == "external"
+            res.as_layer()
 
     def test_random_multiplexes_converge(self):
         # m >= 3 so the mass components mix instead of swapping (the m=2

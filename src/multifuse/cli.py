@@ -140,15 +140,7 @@ def _cmd_fuse(args) -> int:
 
     out = Path(cfg.output_dir)
     write_similarity_csv(out / f"monoplex_{method}.csv", layer.labels, layer.S)
-    summary = {
-        "method": method,
-        "layers": list(multiplex.names),
-        "rbf_sigma": sigmas,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "residual": result.residual,
-        "weights": None if result.weights is None else list(result.weights),
-    }
+    summary = {"method": method, "layers": list(multiplex.names), "rbf_sigma": sigmas, **result.outcome()}
     _write_text(out / "fuse_report.json", dumps_json17(summary) + "\n")
     print(f"monoplex written to {out / f'monoplex_{method}.csv'}")
     _report_convergence({method: result}, args.strict)

@@ -97,7 +97,7 @@ def distance_correlation(A, B) -> float:
     if a.shape != b.shape:
         raise DimensionError(f"order mismatch: {a.shape[0]} vs {b.shape[0]}")
     if labels_a is not None and labels_b is not None and labels_a != labels_b:
-        raise InvalidInput("networks are defined over different node labels")
+        raise DimensionError("networks are defined over different node labels")
     if a.shape[0] < 2:
         raise InvalidInput("distance correlation needs at least two nodes")
     ac = _double_center(np.sqrt(sq_distances(a)))
@@ -227,7 +227,7 @@ def modularity(S, partition, resolution: float = 1.0) -> float:
     labels, w = _graph_weights(S)
     if isinstance(partition, Partition):
         if partition.labels != labels:
-            raise InvalidInput("partition labels do not match the network")
+            raise DimensionError("partition labels do not match the network")
         comm = partition.community
     else:
         comm = np.asarray(partition, dtype=np.int64)

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    DimensionError,
     EmptyAfterFilter,
     EmptyTable,
     InvalidInput,
@@ -67,11 +68,11 @@ EXPORT_FORMATS = ("edge-list", "graphml", "csv-matrix")
 
 
 def fmt17(x: float) -> str:
-    """Render a float with 17 significant digits (round-trip exact)."""
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # fold -0.0
-    return format(x, ".17g")
+    """Render a float with 17 significant digits (round-trip exact).
+
+    Adding 0.0 folds -0.0 into 0.0; ``_rows17`` applies the same rule to arrays.
+    """
+    return "%.17g" % (float(x) + 0.0)
 
 
 def _json_fragment(obj) -> str:
@@ -397,14 +398,7 @@ class RunReport:
             "rbf_sigma": dict(self.sigmas),
             "weight_tables": {k: list(v) for k, v in self.weight_tables.items()},
             "fusion": {
-                name: {
-                    "method": r.method,
-                    "converged": r.converged,
-                    "iterations": r.iterations,
-                    "residual": r.residual,
-                    "weights": None if r.weights is None else list(r.weights),
-                    "diagnostics": r.diagnostics,
-                }
+                name: {"method": r.method, **r.outcome(), "diagnostics": r.diagnostics}
                 for name, r in self.fusion.items()
             },
             "monoplex_dcor": {
@@ -564,8 +558,7 @@ def _rows17(values) -> tuple[str, list]:
     """A ``%`` template for the last axis of ``values``, and ``values`` as lists.
 
     ``template % tuple(row)`` joins a row's values with commas, each as
-    ``fmt17`` renders it: adding 0.0 folds -0.0 into 0.0, and ``%.17g`` of a
-    float is ``format(x, ".17g")``.
+    ``fmt17`` renders it.
     """
     v = np.asarray(values, dtype=float) + 0.0
     return ",".join(["%.17g"] * v.shape[-1]), v.tolist()
@@ -624,7 +617,7 @@ def export_graph(layer: SimilarityLayer, partition, fmt: str, path, threshold: f
     path = Path(path)
     labels, s = layer.labels, layer.S
     if partition is not None and partition.labels != labels:
-        raise InvalidInput("partition labels do not match the network")
+        raise DimensionError("partition labels do not match the network")
 
     if fmt == "csv-matrix":
         return write_similarity_csv(path, labels, s)

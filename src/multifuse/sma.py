@@ -42,7 +42,7 @@ from .matcore import (
     sym_matrix,
 )
 from .simbuild import default_labels, layer_matrix
-from .snf import FusionResult, fusion_result, iterate
+from .snf import FusionResult, iterate
 
 __all__ = [
     "BarycenterConfig",
@@ -244,7 +244,7 @@ def barycenter_frobenius(layers, w) -> FusionResult:
     """Weighted arithmetic mean of the layers (exact, no iteration)."""
     labels, mats = _coerce_layers(layers)
     w = check_weights(w, len(mats))
-    return fusion_result(labels, _weighted_sum(mats, w), "sma-frobenius", [], True, 0, w)
+    return FusionResult(labels, _weighted_sum(mats, w), "sma-frobenius", True, 0, weights=w)
 
 
 def _bini_iannazzo_step(conds, w) -> float:
@@ -325,7 +325,7 @@ def barycenter_riemannian(layers, w, cfg: BarycenterConfig | None = None) -> Fus
     x, history, converged = iterate(
         karcher(_weighted_sum(mats, w)), cfg.tol * len(mats), cfg.max_iter + 1
     )
-    return fusion_result(labels, x, "sma-riemannian", history, converged, len(history) - 1, w)
+    return FusionResult(labels, x, "sma-riemannian", converged, len(history) - 1, tuple(history), w)
 
 
 def barycenter_wasserstein(layers, w, cfg: BarycenterConfig | None = None) -> FusionResult:
@@ -351,7 +351,7 @@ def barycenter_wasserstein(layers, w, cfg: BarycenterConfig | None = None) -> Fu
             x = (x + x.T) / 2.0
 
     x, history, converged = iterate(fixed_point(_weighted_sum(mats, w)), cfg.tol, cfg.max_iter + 1)
-    return fusion_result(labels, x, "sma-wasserstein", history, converged, len(history) - 1, w)
+    return FusionResult(labels, x, "sma-wasserstein", converged, len(history) - 1, tuple(history), w)
 
 
 def solve_barycenter(layers, w, metric: str, cfg: BarycenterConfig | None = None) -> FusionResult:

@@ -26,7 +26,6 @@ __all__ = [
     "SnfConfig",
     "FusionResult",
     "iterate",
-    "fusion_result",
     "default_k",
     "global_normalize",
     "local_normalize",
@@ -76,10 +75,23 @@ class FusionResult:
     method: str
     converged: bool
     iterations: int
-    residual: float
     residual_history: tuple[float, ...] = ()
     weights: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def residual(self) -> float:
+        """The last entry of ``residual_history``; 0.0 when it is empty (the Frobenius mean)."""
+        return self.residual_history[-1] if self.residual_history else 0.0
+
+    def outcome(self) -> dict:
+        """``converged``, ``iterations``, ``residual`` and ``weights``, as every report writes them."""
+        return {
+            "converged": self.converged,
+            "iterations": self.iterations,
+            "residual": self.residual,
+            "weights": None if self.weights is None else list(self.weights),
+        }
 
     def as_layer(self) -> SimilarityLayer:
         """View the monoplex as a similarity layer.
@@ -111,16 +123,6 @@ def iterate(steps, tol: float, limit: int):
         if converged or len(history) >= limit:
             break
     return state, history, converged
-
-
-def fusion_result(labels, matrix, method, history, converged, iterations,
-                  weights=None, diagnostics=None) -> FusionResult:
-    """The ``FusionResult`` of a solver run; ``residual`` is the last of ``history``, or 0."""
-    return FusionResult(
-        labels, matrix, method, converged, iterations,
-        residual=history[-1] if history else 0.0, residual_history=tuple(history),
-        weights=None if weights is None else weights.copy(), diagnostics=diagnostics or {},
-    )
 
 
 def global_normalize(S) -> np.ndarray:
@@ -226,7 +228,7 @@ def snf_fuse(layers: Multiplex, cfg: SnfConfig | None = None) -> FusionResult:
     P, history, converged = iterate(
         diffuse([global_normalize(s) for s in mats]), cfg.epsilon, cfg.max_iter
     )
-    return fusion_result(
-        layers.labels, _reweight(sum(P) / len(P)), "snf", history, converged, len(history),
-        diagnostics={"zero_neighbour_rows": dead} if dead else None,
+    return FusionResult(
+        layers.labels, _reweight(sum(P) / len(P)), "snf", converged, len(history), tuple(history),
+        diagnostics={"zero_neighbour_rows": dead} if dead else {},
     )

@@ -177,6 +177,10 @@ class TestFuse:
         assert main(["run", "--config", str(cfg_path)]) == 0
         name = f"monoplex_{method}.csv"
         assert (fused / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+        fuse_report = json.loads((fused / "fuse_report.json").read_text(encoding="utf-8"))
+        run_report = json.loads((tmp_path / "run" / "report.json").read_text(encoding="utf-8"))
+        outcome = ("converged", "iterations", "residual", "weights")
+        assert [fuse_report[k] for k in outcome] == [run_report["fusion"][method][k] for k in outcome]
 
 
 class TestDcor:

@@ -43,6 +43,14 @@ def two_cliques(n_each=4):
     return w
 
 
+def random_planted_blocks(rng, n, k):
+    """Symmetric weights over ``k`` random blocks: U(0.5, 1) within a block, U(0, 0.3) across."""
+    block = rng.integers(0, k, n)
+    same = block[:, None] == block[None, :]
+    w = np.triu(np.where(same, rng.uniform(0.5, 1.0, (n, n)), rng.uniform(0.0, 0.3, (n, n))), 1)
+    return w + w.T
+
+
 def planted_blocks(n=10, within=0.9, between=0.1):
     half = n // 2
     s = np.full((n, n), between)
@@ -115,7 +123,7 @@ class TestDistanceCorrelation:
     def test_label_mismatch(self):
         a = SimilarityLayer(("a", "b"), np.eye(2))
         b = SimilarityLayer(("a", "c"), np.eye(2))
-        with pytest.raises(InvalidInput):
+        with pytest.raises(DimensionError):
             distance_correlation(a, b)
 
     def test_table_contract(self):
@@ -263,6 +271,21 @@ class TestModularity:
             comm = rng.integers(0, 3, n)
             assert abs(modularity(s, comm) - modularity_reference(s, comm)) <= 1e-12
 
+    def test_louvain_score_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            n, k = int(rng.integers(4, 61)), int(rng.integers(1, 5))
+            resolution = float(rng.choice([0.5, 1.0, 2.0]))
+            w = random_planted_blocks(rng, n, k)
+            part = louvain_communities(w, resolution)
+            g = nx.Graph()
+            g.add_nodes_from(range(n))
+            g.add_weighted_edges_from((i, j, w[i, j]) for i, j in zip(*np.triu_indices(n, 1)))
+            communities = [set(np.flatnonzero(part.community == c).tolist()) for c in range(part.n_communities)]
+            want = nx.community.modularity(g, communities, resolution=resolution)
+            assert abs(part.modularity - want) <= 1e-12
+
     def test_resolution_scaling(self):
         w = two_cliques(4)
         comm = np.array([0, 0, 0, 0, 1, 1, 1, 1])
@@ -273,7 +296,7 @@ class TestModularity:
     def test_label_mismatch_rejected(self):
         lay = SimilarityLayer(("a", "b"), np.eye(2))
         part = Partition(("a", "x"), np.array([0, 1]), 0.0)
-        with pytest.raises(InvalidInput):
+        with pytest.raises(DimensionError):
             modularity(lay, part)
 
     def test_coverage_check(self):

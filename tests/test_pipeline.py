@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from multifuse import pipeline
 from multifuse.errors import (
     DegenerateSpectrum,
+    DimensionError,
     EmptyAfterFilter,
     EmptyTable,
     InvalidInput,
@@ -244,6 +245,12 @@ class TestExport:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(InvalidParameter):
             export_graph(self.layer(), None, "dot", tmp_path / "x")
+
+    def test_partition_over_other_labels(self, tmp_path):
+        part = Partition(("a", "x"), np.array([0, 1]), 0.0)
+        with pytest.raises(DimensionError, match="partition labels"):
+            export_graph(self.layer(), part, "graphml", tmp_path / "g.graphml")
+        assert not (tmp_path / "g.graphml").exists()
 
 
 #: Label characters that need CSV quoting, XML escaping, or neither.

@@ -63,7 +63,6 @@ from .netanalysis import (
     modularity,
 )
 from .pipeline import (
-    AbundanceTable,
     FilterLog,
     PipelineConfig,
     RunReport,

@@ -43,7 +43,6 @@ from .sma import (
 from .snf import FusionResult, SnfConfig, snf_fuse
 
 __all__ = [
-    "AbundanceTable",
     "FilterLog",
     "PipelineConfig",
     "RunReport",
@@ -108,57 +107,35 @@ def dumps_json17(obj, indent: int = 0) -> str:
     return _json_fragment(obj)
 
 
-@dataclass
-class AbundanceTable:
-    """Entities-by-sites nonnegative measurement matrix for one layer."""
-
-    layer_name: str
-    entity_ids: tuple[str, ...]
-    site_ids: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        self.entity_ids = tuple(str(x) for x in self.entity_ids)
-        self.site_ids = tuple(str(x) for x in self.site_ids)
-        if v.shape != (len(self.entity_ids), len(self.site_ids)):
-            raise InvalidInput(
-                f"value shape {v.shape} does not match "
-                f"{len(self.entity_ids)} entities x {len(self.site_ids)} sites"
-            )
-        if not np.isfinite(v).all():
-            raise InvalidInput(f"layer {self.layer_name}: non-finite values")
-        if v.min() < 0:
-            raise InvalidInput(f"layer {self.layer_name}: negative values")
-        if len(set(self.entity_ids)) != len(self.entity_ids):
-            raise InvalidInput(f"layer {self.layer_name}: duplicate entity ids")
-        self.values = v
-
-
 def _read_csv_records(path: Path) -> list[tuple[int, list[str]]]:
-    """The nonblank records of a UTF-8 CSV file, each with the file line it starts on."""
+    """The nonblank records of a UTF-8 CSV file, each with the file line it starts on.
+
+    A record that ``csv`` rejects, such as one whose unclosed quote runs past
+    the field size limit, raises ``ParseError`` naming the line it starts on.
+    """
     numbered = []
+    first = 1
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            first = 1
             for row in reader:
                 if row:
                     numbered.append((first, row))
                 first = reader.line_num + 1
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{first}: {exc}") from exc
     return numbered
 
 
-def _parse_abundance_csv(path: Path) -> AbundanceTable:
+def _parse_abundance_csv(path: Path) -> FeatureTable:
     numbered = _read_csv_records(path)
     if not numbered:
         raise ParseError(f"{path}: file is empty")
     lineno, header = numbered[0]
     if len(header) < 2:
         raise ParseError(f"{path}:{lineno}: header needs an entity column and at least one site")
-    site_ids = tuple(h.strip() for h in header[1:])
     if len(numbered) == 1:
         raise EmptyTable(f"{path}: header only, no entities")
     ids: list[str] = []
@@ -191,25 +168,26 @@ def _parse_abundance_csv(path: Path) -> AbundanceTable:
         lineno, row = numbered[r + 1]
         kind = "negative" if np.isfinite(v[r, c]) else "non-finite"
         raise ParseError(f"{path}:{lineno}: {kind} value {row[c + 1]!r}")
-    return AbundanceTable(path.stem, tuple(ids), site_ids, v)
+    return FeatureTable(tuple(ids), v, path.stem)
 
 
-def load_abundance_tables(paths) -> list[AbundanceTable]:
+def load_abundance_tables(paths) -> list[FeatureTable]:
     """Load one abundance CSV per layer onto a shared entity universe.
 
-    Entity ids are unioned across files and sorted; an entity missing from a
-    file appears there as an all-zero row (to be removed by the filter).
+    Each table is named by its file stem.  Entity ids are unioned across
+    files and sorted; an entity missing from a file appears there as an
+    all-zero row (to be removed by the filter).
     """
     tables = [_parse_abundance_csv(Path(p)) for p in paths]
     if not tables:
         raise InvalidInput("no input files given")
-    universe = tuple(sorted(set().union(*(t.entity_ids for t in tables))))
+    universe = tuple(sorted(set().union(*(t.labels for t in tables))))
     row_of = {e: i for i, e in enumerate(universe)}
     out = []
     for t in tables:
-        vals = np.zeros((len(universe), len(t.site_ids)))
-        vals[[row_of[e] for e in t.entity_ids]] = t.values
-        out.append(AbundanceTable(t.layer_name, universe, t.site_ids, vals))
+        rows = np.zeros((len(universe), t.rows.shape[1]))
+        rows[[row_of[e] for e in t.labels]] = t.rows
+        out.append(FeatureTable(universe, rows, t.name))
     return out
 
 
@@ -238,34 +216,37 @@ class FilterLog:
         }
 
 
-def filter_entities(tables) -> tuple[list[AbundanceTable], FilterLog]:
+def filter_entities(tables) -> tuple[list[FeatureTable], FilterLog]:
     """Drop entities absent everywhere, then entities absent in any layer.
 
-    An entity absent from a layer is an all-zero row there; such rows have
-    zero similarity to everything and break the fusion machinery, so they
-    are removed with a logged reason.
+    The tables hold abundances: they must share one list of distinct entity
+    ids, and their values must be nonnegative.  An entity absent from a layer
+    is an all-zero row there; such rows have zero similarity to everything
+    and break the fusion machinery, so they are removed with a logged reason.
     """
     tables = list(tables)
     if not tables:
         raise InvalidInput("no tables to filter")
-    ids = tables[0].entity_ids
-    for t in tables[1:]:
-        if t.entity_ids != ids:
+    ids = tables[0].labels
+    if len(set(ids)) != len(ids):
+        raise InvalidInput("duplicate entity ids")
+    for t in tables:
+        if t.labels != ids:
             raise InvalidInput("tables must share one entity universe")
-    present = np.stack([t.values.sum(axis=1) > 0 for t in tables])  # (m, n)
+        if t.rows.min() < 0:
+            raise InvalidInput(f"layer {t.name}: negative values")
+    present = np.stack([t.rows.sum(axis=1) > 0 for t in tables])  # (m, n)
     somewhere, keep = present.any(axis=0), present.all(axis=0)
     if not keep.any():
         raise EmptyAfterFilter("every entity was removed by the filters")
 
-    names = [t.layer_name for t in tables]
+    names = [t.name for t in tables]
     partial = tuple(
         (ids[col], tuple(compress(names, ~present[:, col])))
         for col in np.flatnonzero(somewhere & ~keep)
     )
     retained = tuple(compress(ids, keep))
-    filtered = [
-        AbundanceTable(t.layer_name, retained, t.site_ids, t.values[keep]) for t in tables
-    ]
+    filtered = [FeatureTable(retained, t.rows[keep], t.name) for t in tables]
     return filtered, FilterLog(len(ids), tuple(compress(ids, ~somewhere)), partial, retained)
 
 
@@ -424,11 +405,10 @@ def build_layers(tables, sigma: float | None = None) -> tuple[Multiplex, dict[st
     layers = []
     sigmas = {}
     for t in tables:
-        ft = FeatureTable(t.entity_ids, t.values)
-        s = sigma if sigma is not None else auto_sigma(ft)
-        sigmas[t.layer_name] = s
-        layers.append(rbf_similarity(ft, s))
-    mx = Multiplex(tuple(layers), tuple(t.layer_name for t in tables))
+        s = sigma if sigma is not None else auto_sigma(t)
+        sigmas[t.name] = s
+        layers.append(rbf_similarity(t, s))
+    mx = Multiplex(tuple(layers), tuple(t.name for t in tables))
     return mx, sigmas
 
 

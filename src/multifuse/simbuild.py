@@ -42,11 +42,13 @@ class FeatureTable:
     """Per-entity observation vectors for one measurement layer.
 
     ``rows`` has shape (n, p): one length-p observation per labelled entity.
-    Scalar observations may be passed as a 1-D array.
+    Scalar observations may be passed as a 1-D array.  ``name`` names the
+    layer; the pipeline uses the stem of the CSV file the table was read from.
     """
 
     labels: tuple[str, ...]
     rows: np.ndarray
+    name: str = ""
 
     def __post_init__(self):
         rows = np.array(self.rows, dtype=float)

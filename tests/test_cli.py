@@ -123,6 +123,21 @@ class TestFuse:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_auto_sigma_is_the_default(self, tmp_path):
+        base = ["fuse", "--method", "sma-f", "--inputs", *inputs(2)]
+        assert main([*base, "--sigma", "auto", "--out", str(tmp_path / "auto")]) == 0
+        assert main([*base, "--out", str(tmp_path / "default")]) == 0
+        for name in ("monoplex_sma-frobenius.csv", "fuse_report.json"):
+            assert (tmp_path / "auto" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+
+    def test_non_numeric_sigma_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(["fuse", "--method", "sma-f", "--inputs", *inputs(2), "--sigma", "abc", "--out", str(out)])
+        assert info.value.code == 2
+        assert "argument --sigma: sigma must be a number or 'auto'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_sigma_exit_code(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["fuse", "--method", "sma-f", "--inputs", *inputs(2), "--sigma", "inf", "--out", str(out)]) == 2
@@ -159,6 +174,37 @@ class TestFuse:
             lines.append(capsys.readouterr().err)
         assert lines[0] == lines[1]
         assert lines[0].startswith(f"error: [stage load] {bad}")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "{path}: file is empty"),
+            ("entity\nx\n", "{path}:1: header needs an entity column and at least one site"),
+            ("entity,s1\n,1.0\n", "{path}:2: missing entity id"),
+        ],
+        ids=["empty", "one-cell-header", "empty-id"],
+    )
+    def test_rejected_abundance_csv_message(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert main(command_args("fuse", tmp_path, [str(bad), inputs(1)[0]])) == 2
+        assert capsys.readouterr().err == f"error: [stage load] {message.format(path=bad)}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "fuse"])
+    def test_unclosed_quote_in_large_csv_exit_code(self, tmp_path, capsys, command):
+        # the quote opened on line 3 makes the rest of the file one field,
+        # longer than the csv module's field size limit
+        header = "entity," + ",".join(f"s{j:02d}" for j in range(12))
+        rows = [f"e{i:04d}" + ",0.25,0.5,0.125,1.0" * 3 for i in range(3000)]
+        rows[1] = '"' + rows[1]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([header, *rows]) + "\n")
+        assert bad.stat().st_size > 128 * 1024
+        assert main(command_args(command, tmp_path, [str(bad), inputs(1)[0]])) == 2
+        expected = f"error: [stage load] {bad}:3: field larger than field limit (131072)\n"
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "flag, method, extra_args, extra_cfg",
@@ -217,6 +263,23 @@ class TestCluster:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: resolution must be positive and finite")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (",a,b\n", "{path}: expected a header and at least one row"),
+            (",a,b\nb,0.5,1\na,1,0.5\n", "{path}:2: row label 'b' does not match header order"),
+            (',a\n"a,1\n' + "x" * 140_000 + "\n", "{path}:2: field larger than field limit (131072)"),
+        ],
+        ids=["header-only", "row-order", "unclosed-quote"],
+    )
+    def test_rejected_matrix_csv_message(self, tmp_path, capsys, text, message):
+        p = tmp_path / "m.csv"
+        p.write_text(text)
+        assert main(["cluster", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message.format(path=p)}\n"
 
     def test_invalid_graph_exit_code(self, tmp_path):
         p = matrix_csv(tmp_path, "m.csv", np.eye(3))
@@ -403,6 +466,28 @@ class TestRun:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"sigma": 0}, "sigma must be positive"),
+            ({"resolution": -1.0}, "resolution must be positive"),
+            ({"methods": ["snf", "magic"]}, "unknown method 'magic'"),
+            ({"methods": ["snf", "snf"]}, "each method may be requested once"),
+            ({"methods": []}, "at least one method required"),
+            ({"sigma": "abc"}, "{path}: sigma must be a number or 'auto'"),
+            (None, "{path}: expected a JSON object"),
+        ],
+        ids=["sigma", "resolution", "unknown-method", "repeated-method", "no-method",
+             "sigma-text", "not-an-object"],
+    )
+    def test_rejected_config_message(self, tmp_path, capsys, entry, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = {"inputs": inputs(2), "output_dir": str(tmp_path / "out"), "methods": ["snf"]}
+        cfg_path.write_text(json.dumps([cfg] if entry is None else {**cfg, **entry}))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=cfg_path)}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "fuse"])

@@ -20,7 +20,6 @@ from multifuse.errors import (
 from multifuse.netanalysis import Partition
 from multifuse.pipeline import (
     WEIGHT_MODES,
-    AbundanceTable,
     PipelineConfig,
     dumps_json17,
     export_graph,
@@ -31,7 +30,7 @@ from multifuse.pipeline import (
     run_pipeline,
     write_similarity_csv,
 )
-from multifuse.simbuild import SimilarityLayer
+from multifuse.simbuild import FeatureTable, SimilarityLayer
 from multifuse.sma import uniform_weights
 from oracles import export_graph_reference, similarity_csv_reference
 
@@ -48,12 +47,12 @@ class TestLoad:
         a = write_csv(tmp_path / "a.csv", "entity,s1\nx,1.0\ny,2.0\n")
         b = write_csv(tmp_path / "b.csv", "entity,s1,s2\ny,1.0,0.5\nz,0.0,3.0\n")
         tables = load_abundance_tables([a, b])
-        assert [t.layer_name for t in tables] == ["a", "b"]
-        assert tables[0].entity_ids == ("x", "y", "z")
-        assert tables[1].entity_ids == ("x", "y", "z")
+        assert [t.name for t in tables] == ["a", "b"]
+        assert tables[0].labels == ("x", "y", "z")
+        assert tables[1].labels == ("x", "y", "z")
         # entity only in file a appears as a zero row in b
-        assert np.array_equal(tables[1].values[0], [0.0, 0.0])
-        assert np.array_equal(tables[0].values[2], [0.0])
+        assert np.array_equal(tables[1].rows[0], [0.0, 0.0])
+        assert np.array_equal(tables[0].rows[2], [0.0])
 
     def test_header_only_is_empty_table(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", "entity,s1\n")
@@ -92,6 +91,14 @@ class TestLoad:
         with pytest.raises(ParseError, match="a.csv:4: not a number: 'abc'"):
             load_abundance_tables([p])
 
+    @pytest.mark.parametrize("load", [load_abundance_tables, load_similarity_csv])
+    def test_unclosed_quote_past_field_limit(self, tmp_path, load):
+        # the quote opened on line 2 makes the rest of the file one field,
+        # longer than the csv module's field size limit
+        p = write_csv(tmp_path / "a.csv", 'entity,s1\n"x,' + "1" * 140_000 + "\n")
+        with pytest.raises(ParseError, match="a.csv:2: field larger than field limit"):
+            load([p] if load is load_abundance_tables else p)
+
 
 @st.composite
 def layer_id_sets(draw):
@@ -124,9 +131,9 @@ class TestAlignAndFilterMatchDictReference:
         universe = sorted(set().union(*layers))
         tables = load_abundance_tables(paths)
         for t, rows in zip(tables, layers):
-            assert t.entity_ids == tuple(universe)
-            zero = [0.0] * len(t.site_ids)
-            assert t.values.tolist() == [rows.get(e, zero) for e in universe]
+            assert t.labels == tuple(universe)
+            zero = [0.0] * t.rows.shape[1]
+            assert t.rows.tolist() == [rows.get(e, zero) for e in universe]
 
         names = [f"l{l}" for l in range(len(layers))]
         absent = {e: [n for n, rows in zip(names, layers) if sum(rows.get(e, [0.0])) == 0]
@@ -142,13 +149,13 @@ class TestAlignAndFilterMatchDictReference:
         assert (log.total, log.removed_everywhere, log.removed_partial, log.retained) == (
             len(universe), everywhere, partial, retained)
         for t, rows in zip(filtered, layers):
-            assert t.entity_ids == retained
-            assert t.values.tolist() == [rows[e] for e in retained]
+            assert t.labels == retained
+            assert t.rows.tolist() == [rows[e] for e in retained]
 
 
 class TestFilter:
     def make(self, name, ids, values):
-        return AbundanceTable(name, ids, tuple(f"s{i}" for i in range(np.shape(values)[1])), values)
+        return FeatureTable(ids, values, name)
 
     def test_two_pass_filtering(self):
         ids = ("a", "b", "c", "d")
@@ -159,13 +166,71 @@ class TestFilter:
         assert log.removed_partial == (("c", ("l2",)),)  # zero in one layer
         assert log.retained == ("a", "d")
         assert log.total - len(log.removed_everywhere) - len(log.removed_partial) == len(log.retained)
-        assert filtered[0].entity_ids == ("a", "d")
-        assert np.array_equal(filtered[1].values, [[1.0, 1.0], [2.0, 0.0]])
+        assert filtered[0].labels == ("a", "d")
+        assert np.array_equal(filtered[1].rows, [[1.0, 1.0], [2.0, 0.0]])
 
     def test_all_removed(self):
         t = self.make("l1", ("a",), [[0.0]])
         with pytest.raises(EmptyAfterFilter):
             filter_entities([t])
+
+    @pytest.mark.parametrize(
+        "ids, values, message",
+        [(("a", "b"), [[1.0], [-1.0]], "layer l1: negative values"),
+         (("a", "a"), [[1.0], [2.0]], "duplicate entity ids")],
+        ids=["negative", "repeated-id"],
+    )
+    def test_rejects_tables_that_are_not_abundances(self, ids, values, message):
+        good = self.make("l0", ids, [[1.0], [1.0]])
+        with pytest.raises(InvalidInput, match=message):
+            filter_entities([good, self.make("l1", ids, values)])
+
+
+class TestDeterminism:
+    """The README's Determinism section, end to end on the fixture."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("reference")
+        paths = sorted(str(p) for p in DATA.glob("*.csv"))
+        run_pipeline(PipelineConfig(inputs=paths, output_dir=str(out)))
+        return out
+
+    @staticmethod
+    def rewrite_fixture(root, rewrite):
+        """Copy every fixture CSV to ``root`` with its data rows passed through ``rewrite``."""
+        root.mkdir()
+        for src in sorted(DATA.glob("*.csv")):
+            header, *rows = src.read_text().splitlines()
+            (root / src.name).write_text("\n".join([header, *rewrite(rows)]) + "\n")
+        return sorted(str(p) for p in root.glob("*.csv"))
+
+    def test_row_order_does_not_change_any_artifact(self, tmp_path, reference):
+        rng = np.random.default_rng(0)
+        paths = self.rewrite_fixture(tmp_path / "in", lambda rows: rng.permutation(rows).tolist())
+        out = tmp_path / "out"
+        run_pipeline(PipelineConfig(inputs=paths, output_dir=str(out)))
+        files = sorted(p.relative_to(reference) for p in reference.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+        for rel in files:
+            assert (out / rel).read_bytes() == (reference / rel).read_bytes(), rel
+
+    def test_relabelling_permutes_the_monoplexes(self, tmp_path, reference):
+        rows = [line for p in DATA.glob("*.csv") for line in p.read_text().splitlines()[1:]]
+        ids = sorted({r.split(",")[0] for r in rows})
+        # new ids sort in the reverse order of the old ones
+        new_id = {e: f"id{len(ids) - i:03d}" for i, e in enumerate(ids)}
+        paths = self.rewrite_fixture(
+            tmp_path / "in", lambda rows: [new_id[r.split(",")[0]] + r[r.index(","):] for r in rows]
+        )
+        out = tmp_path / "out"
+        run_pipeline(PipelineConfig(inputs=paths, output_dir=str(out)))
+        for method in pipeline.ALL_METHODS:
+            before = load_similarity_csv(reference / f"monoplex_{method}.csv")
+            after = load_similarity_csv(out / f"monoplex_{method}.csv")
+            perm = [after.labels.index(new_id[lab]) for lab in before.labels]
+            assert perm == list(range(before.n))[::-1]
+            assert np.abs(after.S[np.ix_(perm, perm)] - before.S).max() <= 1e-12, method
 
 
 class TestFormatting:

@@ -21,6 +21,8 @@ from .simbuild import default_labels, layer_matrix
 __all__ = [
     "Partition",
     "CorrelationTable",
+    "CenteredDistances",
+    "centered_distances",
     "distance_correlation",
     "correlation_table",
     "louvain_communities",
@@ -80,28 +82,47 @@ def _double_center(d: np.ndarray) -> np.ndarray:
     return d - row - col + d.mean()
 
 
+@dataclass(frozen=True)
+class CenteredDistances:
+    """One network's double-centered distance matrix, as distance correlation reads it."""
+
+    labels: tuple[str, ...] | None
+    matrix: np.ndarray
+
+
+def centered_distances(network) -> CenteredDistances:
+    """Double-center the Euclidean distances between the rows of ``network``.
+
+    ``distance_correlation`` and ``correlation_table`` accept the result in
+    place of the network, so a network correlated with several others is
+    centered once.  A ``CenteredDistances`` is returned as it is.
+    """
+    if isinstance(network, CenteredDistances):
+        return network
+    labels, x = layer_matrix(network)
+    return CenteredDistances(labels, _double_center(np.sqrt(sq_distances(x))))
+
+
 def distance_correlation(A, B) -> float:
     """Generalized distance correlation between two networks, in [0, 1].
 
     Parameters
     ----------
-    A, B : SimilarityLayer or array_like
+    A, B : SimilarityLayer, array_like or CenteredDistances
         Square matrices over the same node set; each row is one node's
         sample point.
 
     Returns 0 when either network has zero distance variance (all profiles
     coincide).
     """
-    labels_a, a = layer_matrix(A)
-    labels_b, b = layer_matrix(B)
-    if a.shape != b.shape:
-        raise DimensionError(f"order mismatch: {a.shape[0]} vs {b.shape[0]}")
-    if labels_a is not None and labels_b is not None and labels_a != labels_b:
+    a, b = centered_distances(A), centered_distances(B)
+    if a.matrix.shape != b.matrix.shape:
+        raise DimensionError(f"order mismatch: {a.matrix.shape[0]} vs {b.matrix.shape[0]}")
+    if a.labels is not None and b.labels is not None and a.labels != b.labels:
         raise DimensionError("networks are defined over different node labels")
-    if a.shape[0] < 2:
+    if a.matrix.shape[0] < 2:
         raise InvalidInput("distance correlation needs at least two nodes")
-    ac = _double_center(np.sqrt(sq_distances(a)))
-    bc = _double_center(np.sqrt(sq_distances(b)))
+    ac, bc = a.matrix, b.matrix
     dcov2 = float((ac * bc).mean())
     dvar_a = float((ac * ac).mean())
     dvar_b = float((bc * bc).mean())
@@ -112,8 +133,8 @@ def distance_correlation(A, B) -> float:
 
 
 def correlation_table(names, networks) -> CorrelationTable:
-    """Pairwise distance correlations between several networks."""
-    nets = list(networks)
+    """Pairwise distance correlations between several networks, each centered once."""
+    nets = [centered_distances(x) for x in networks]
     names = tuple(str(x) for x in names)
     if len(names) != len(nets):
         raise InvalidInput("one name per network required")

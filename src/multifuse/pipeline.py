@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import queue
 import re
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from itertools import compress
@@ -30,7 +33,14 @@ from .errors import (
     ParseError,
     check_field_types,
 )
-from .netanalysis import CorrelationTable, Partition, correlation_table, distance_correlation, louvain_communities
+from .netanalysis import (
+    CorrelationTable,
+    Partition,
+    centered_distances,
+    correlation_table,
+    distance_correlation,
+    louvain_communities,
+)
 from .simbuild import FeatureTable, Multiplex, SimilarityLayer, auto_sigma, rbf_similarity
 from .sma import (
     BarycenterConfig,
@@ -443,8 +453,59 @@ def stage(name: str):
         raise
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fuse_all(multiplex: Multiplex, cfg: PipelineConfig, tables) -> dict:
+    """``fuse_method`` for each of ``cfg.methods``: its result, or the exception it raised.
+
+    The methods wait on one queue.  The calling thread drains it together
+    with ``min(len(cfg.methods), CPUs) - 1`` helper threads, so a
+    single-method run starts no thread.  The solvers spend their time in
+    LAPACK and BLAS calls, which release the interpreter lock.  Helpers are
+    daemon threads, so an interrupt of the caller need not wait for them.
+    """
+    work = queue.SimpleQueue()
+    for method in cfg.methods:
+        work.put(method)
+    outcomes = {}
+
+    def drain():
+        while True:
+            try:
+                method = work.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                outcomes[method] = fuse_method(multiplex, method, cfg, tables)
+            except Exception as exc:  # raised again by the caller, in config order
+                outcomes[method] = exc
+
+    helpers = [
+        threading.Thread(target=drain, name=f"multifuse-fuse-{i}", daemon=True)
+        for i in range(min(len(cfg.methods), _cpu_count()) - 1)
+    ]
+    for t in helpers:
+        t.start()
+    drain()
+    for t in helpers:
+        t.join()
+    return outcomes
+
+
 def fuse_stages(cfg: PipelineConfig):
     """The stages ``run`` and ``fuse`` share: load, filter, similarity, weights, one per method.
+
+    The methods are fused concurrently, on up to min(methods, CPUs) threads
+    of which the calling thread is one; a single method is fused on the
+    calling thread alone.  Then each method's stage, in ``cfg.methods``
+    order, raises the error its fusion raised or views its result as a
+    layer, so the first method to fail in that order names the error, and
+    no result depends on thread scheduling.
 
     Returns the multiplex, the filter log, the RBF bandwidths, the weight
     tables, and the fusion results and monoplex layers keyed by method.
@@ -458,32 +519,48 @@ def fuse_stages(cfg: PipelineConfig):
     with stage("weights"):
         rv = rv_matrix(multiplex)
         weight_tables = {"frobenius": weights_frobenius(rv), "rowsum": weights_rowsum(rv)}
+    outcomes = _fuse_all(multiplex, cfg, weight_tables)
     fusion: dict[str, FusionResult] = {}
     monoplexes: dict[str, SimilarityLayer] = {}
     for method in cfg.methods:
         with stage(method):
-            fusion[method] = fuse_method(multiplex, method, cfg, weight_tables)
+            if isinstance(outcomes[method], Exception):
+                raise outcomes[method]
+            fusion[method] = outcomes[method]
             monoplexes[method] = fusion[method].as_layer()
     return multiplex, flog, sigmas, weight_tables, fusion, monoplexes
+
+
+def _dcor_tables(multiplex: Multiplex, monoplexes: dict[str, SimilarityLayer]):
+    """dcor between the monoplexes, and of the SNF monoplex (if any) against each layer.
+
+    Each monoplex is centered once; each layer is centered in its own
+    ``distance_correlation`` call, so one layer's matrix is held at a time.
+    """
+    centered = {name: centered_distances(lay) for name, lay in monoplexes.items()}
+    mono_dcor = correlation_table(tuple(centered), centered.values())
+    if "snf" not in centered:
+        return mono_dcor, ()
+    return mono_dcor, tuple(
+        (lname, distance_correlation(centered["snf"], lay))
+        for lname, lay in zip(multiplex.names, multiplex.layers)
+    )
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunReport:
     """Run the whole workflow and write all artifacts to ``cfg.output_dir``.
 
-    After ``fuse_stages``: dcor (between the monoplexes, and of the SNF
-    monoplex against each layer), cluster, write.  Fully deterministic for a
-    fixed configuration and inputs.  An error raised inside a stage
-    propagates as is, with an ``[stage <name>]`` note added.
+    After ``fuse_stages``, which fuses the methods concurrently: dcor
+    (between the monoplexes, and of the SNF monoplex against each layer),
+    cluster, write.  Fully deterministic for a fixed configuration and
+    inputs, whatever the thread scheduling.  An error raised inside a stage
+    propagates as is, with an ``[stage <name>]`` note added; when several
+    methods fail, the error is the first one's in ``cfg.methods`` order, and
+    nothing is written.
     """
     multiplex, flog, sigmas, weight_tables, fusion, monoplexes = fuse_stages(cfg)
     with stage("dcor"):
-        mono_dcor = correlation_table(tuple(monoplexes), monoplexes.values())
-        snf_layer = ()
-        if "snf" in monoplexes:
-            snf_layer = tuple(
-                (lname, distance_correlation(monoplexes["snf"], lay))
-                for lname, lay in zip(multiplex.names, multiplex.layers)
-            )
+        mono_dcor, snf_layer = _dcor_tables(multiplex, monoplexes)
     with stage("cluster"):
         partitions = {
             name: louvain_communities(lay, cfg.resolution, cfg.seed)
@@ -601,22 +678,33 @@ def export_graph(layer: SimilarityLayer, partition, fmt: str, path, threshold: f
 
     if fmt == "csv-matrix":
         return write_similarity_csv(path, labels, s)
+    edges = _edges17(s, threshold)
+    if fmt == "edge-list":
+        _write_text(path, _edge_list_text(labels, edges))
+    else:
+        _write_text(path, _graphml_text(labels, partition, edges))
+    return path
 
-    iu, ju = np.triu_indices(len(labels), 1)
+
+def _edges17(s: np.ndarray, threshold: float) -> list[tuple[int, int, str]]:
+    """The pairs i < j with ``s[i, j] > threshold``, each weight as ``fmt17`` renders it."""
+    iu, ju = np.triu_indices(s.shape[0], 1)
     w = s[iu, ju]
     keep = w > threshold
     template, kept = _rows17(w[keep])
     weights = (template % tuple(kept)).split(",") if kept else []
-    edges = list(zip(iu[keep].tolist(), ju[keep].tolist(), weights))
+    return list(zip(iu[keep].tolist(), ju[keep].tolist(), weights))
 
-    if fmt == "edge-list":
-        fields = [_csv_field(lab) for lab in labels]
-        lines = ["source,target,weight"]
-        lines += [f"{fields[i]},{fields[j]},{x}" for i, j, x in edges]
-        _write_text(path, "\n".join(lines) + "\n")
-        return path
 
-    # graphml, laid out as ElementTree's indent() and tostring() lay it out
+def _edge_list_text(labels, edges) -> str:
+    fields = [_csv_field(lab) for lab in labels]
+    lines = ["source,target,weight"]
+    lines += [f"{fields[i]},{fields[j]},{x}" for i, j, x in edges]
+    return "\n".join(lines) + "\n"
+
+
+def _graphml_text(labels, partition, edges) -> str:
+    """GraphML laid out as ElementTree's indent() and tostring() lay it out."""
     ids = [lab.translate(_XML_ATTR_ESCAPES) for lab in labels]
     lines = [
         "<?xml version='1.0' encoding='utf-8'?>",
@@ -638,8 +726,7 @@ def export_graph(layer: SimilarityLayer, partition, fmt: str, path, threshold: f
         for i, j, x in edges
     ]
     lines += ["  </graph>", "</graphml>"]
-    _write_text(path, "\n".join(lines) + "\n")
-    return path
+    return "\n".join(lines) + "\n"
 
 
 def _write_artifacts(out_dir: Path, cfg: PipelineConfig, multiplex: Multiplex, report: RunReport, mono_layers):
@@ -650,13 +737,12 @@ def _write_artifacts(out_dir: Path, cfg: PipelineConfig, multiplex: Multiplex, r
 
     for name, lay in mono_layers.items():
         write_similarity_csv(out_dir / f"monoplex_{name}.csv", lay.labels, lay.S)
-        export_graph(
-            lay, report.partitions[name], "edge-list",
-            out_dir / f"edges_{name}.csv", cfg.export_threshold,
-        )
-        export_graph(
-            lay, report.partitions[name], "graphml",
-            out_dir / f"graph_{name}.graphml", cfg.export_threshold,
+        # what export_graph writes for these two formats, from one formatting of the weights
+        edges = _edges17(lay.S, cfg.export_threshold)
+        _write_text(out_dir / f"edges_{name}.csv", _edge_list_text(lay.labels, edges))
+        _write_text(
+            out_dir / f"graph_{name}.graphml",
+            _graphml_text(lay.labels, report.partitions[name], edges),
         )
 
     tables = report.weight_tables

@@ -11,6 +11,7 @@ from multifuse.errors import DimensionError, InvalidInput, InvalidParameter
 from multifuse.netanalysis import (
     CorrelationTable,
     Partition,
+    centered_distances,
     correlation_table,
     distance_correlation,
     louvain_communities,
@@ -125,6 +126,27 @@ class TestDistanceCorrelation:
         b = SimilarityLayer(("a", "c"), np.eye(2))
         with pytest.raises(DimensionError):
             distance_correlation(a, b)
+
+    def test_centered_once_gives_the_same_values(self):
+        # the pipeline centers each network once and passes the result on
+        rng = np.random.default_rng(6)
+        nets = [rand_similarity(rng, 7) for _ in range(4)]
+        centered = [centered_distances(x) for x in nets]
+        table = correlation_table("wxyz", nets)
+        for i in range(4):
+            for j in range(4):
+                if i != j:
+                    value = distance_correlation(nets[i], nets[j])
+                    assert table.values[i, j] == value
+                    assert distance_correlation(centered[i], nets[j]) == value
+                    assert distance_correlation(centered[i], centered[j]) == value
+        assert centered_distances(centered[0]) is centered[0]
+        assert correlation_table("wxyz", centered).values.tolist() == table.values.tolist()
+
+    def test_centered_keeps_the_label_check(self):
+        a = centered_distances(SimilarityLayer(("a", "b"), np.eye(2)))
+        with pytest.raises(DimensionError):
+            distance_correlation(a, SimilarityLayer(("a", "c"), np.eye(2)))
 
     def test_table_contract(self):
         rng = np.random.default_rng(5)

@@ -1,5 +1,7 @@
 import errno
 import json
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from multifuse.errors import (
     InvalidInput,
     InvalidParameter,
     ParseError,
+    SingularMatrix,
 )
 from multifuse.netanalysis import Partition
 from multifuse.pipeline import (
@@ -31,7 +34,7 @@ from multifuse.pipeline import (
     write_similarity_csv,
 )
 from multifuse.simbuild import FeatureTable, SimilarityLayer
-from multifuse.sma import uniform_weights
+from multifuse.sma import rv_matrix, uniform_weights, weights_frobenius, weights_rowsum
 from oracles import export_graph_reference, similarity_csv_reference
 
 DATA = Path(__file__).parent / "data" / "synthetic"
@@ -609,3 +612,85 @@ class TestRunPipeline:
         p.write_text(json.dumps({"inputs": []}))
         with pytest.raises(ParseError):
             PipelineConfig.from_file(p)
+
+
+class TestConcurrentFusion:
+    """``fuse_stages`` fuses the methods on the calling thread plus helper threads."""
+
+    def paths(self):
+        return tuple(sorted(str(p) for p in DATA.glob("*.csv")))
+
+    @pytest.fixture
+    def four_cpus(self, monkeypatch):
+        # more drainers than this machine may have cores, so helpers always run
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: 4)
+
+    def test_results_equal_a_sequential_loop(self, tmp_path, monkeypatch, four_cpus):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        cfg = PipelineConfig(inputs=self.paths(), output_dir=str(tmp_path / "out"))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = run_pipeline(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(started) == 3
+
+        tables, _ = filter_entities(load_abundance_tables(cfg.inputs))
+        multiplex, _ = pipeline.build_layers(tables, cfg.sigma)
+        rv = rv_matrix(multiplex)
+        weight_tables = {"frobenius": weights_frobenius(rv), "rowsum": weights_rowsum(rv)}
+        assert tuple(report.fusion) == cfg.methods
+        for method in cfg.methods:
+            expected = pipeline.fuse_method(multiplex, method, cfg, weight_tables)
+            got = report.fusion[method]
+            assert np.array_equal(got.matrix, expected.matrix), method
+            assert got.residual_history == expected.residual_history, method
+            assert (got.weights is None) == (expected.weights is None), method
+            if expected.weights is not None:
+                assert np.array_equal(got.weights, expected.weights), method
+
+    def test_first_failure_in_config_order_wins(self, tmp_path, monkeypatch, four_cpus):
+        solve = pipeline.solve_barycenter
+        wasserstein_failed = threading.Event()
+        raised = {}
+
+        def failing(layers, w, name, cfg):
+            if name == "riemannian":
+                # fail only after the Wasserstein mean has failed on another thread
+                assert wasserstein_failed.wait(timeout=60)
+                raised[name] = SingularMatrix("riemannian failed")
+                raise raised[name]
+            if name == "wasserstein":
+                raised[name] = InvalidInput("wasserstein failed")
+                wasserstein_failed.set()
+                raise raised[name]
+            return solve(layers, w, name, cfg)
+
+        monkeypatch.setattr(pipeline, "solve_barycenter", failing)
+        cfg = PipelineConfig(inputs=self.paths()[:3], output_dir=str(tmp_path / "out"))
+        with pytest.raises(SingularMatrix, match="riemannian failed") as info:
+            run_pipeline(cfg)
+        assert info.value is raised["riemannian"]
+        assert info.value.__notes__ == ["[stage sma-riemannian]"]
+        assert not hasattr(raised["wasserstein"], "__notes__")
+        assert not (tmp_path / "out").exists()
+
+    def test_single_method_starts_no_thread(self, tmp_path, monkeypatch, four_cpus):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a single-method run started a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        cfg = PipelineConfig(
+            inputs=self.paths()[:3], output_dir=str(tmp_path / "out"), methods=("snf",)
+        )
+        report = run_pipeline(cfg)
+        assert tuple(report.fusion) == ("snf",)
+        assert (tmp_path / "out" / "monoplex_snf.csv").is_file()

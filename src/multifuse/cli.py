@@ -26,6 +26,7 @@ from .pipeline import (
     fuse_stages,
     load_similarity_csv,
     run_pipeline,
+    stage,
     write_similarity_csv,
 )
 from .netanalysis import distance_correlation, louvain_communities
@@ -135,13 +136,15 @@ def _cmd_fuse(args) -> int:
         snf=_present(k=args.k, epsilon=args.epsilon, max_iter=args.max_iter),
         sma=_present(tol=args.tol, max_iter=args.max_iter, jitter=args.jitter),
     ))
-    multiplex, _, sigmas, _, fusion, monoplexes = fuse_stages(cfg)
-    result, layer = fusion[method], monoplexes[method]
+    report = fuse_stages(cfg)
+    result, layer = report.fusion[method], report.monoplexes[method]
 
     out = Path(cfg.output_dir)
-    write_similarity_csv(out / f"monoplex_{method}.csv", layer.labels, layer.S)
-    summary = {"method": method, "layers": list(multiplex.names), "rbf_sigma": sigmas, **result.outcome()}
-    _write_text(out / "fuse_report.json", dumps_json17(summary) + "\n")
+    with stage("write"):
+        write_similarity_csv(out / f"monoplex_{method}.csv", layer.labels, layer.S)
+        summary = {"method": method, "layers": list(report.multiplex.names),
+                   "rbf_sigma": report.sigmas, **result.outcome()}
+        _write_text(out / "fuse_report.json", dumps_json17(summary) + "\n")
     print(f"monoplex written to {out / f'monoplex_{method}.csv'}")
     _report_convergence({method: result}, args.strict)
     return EXIT_OK

@@ -367,20 +367,24 @@ def _check_keys(raw, allowed, where: str):
 
 @dataclass
 class RunReport:
-    """Summary of one pipeline run (matrices live in the artifact CSVs)."""
+    """Record of one run: ``fuse_stages`` fills it up to the monoplexes, ``run_pipeline`` the rest.
 
-    layer_names: tuple[str, ...]
+    ``to_dict`` is ``report.json``; the matrices go to the artifact CSVs.
+    """
+
+    multiplex: Multiplex
     filter_log: FilterLog
     sigmas: dict[str, float]
     weight_tables: dict[str, np.ndarray]
     fusion: dict[str, FusionResult]
-    monoplex_dcor: CorrelationTable
-    snf_layer_dcor: tuple[tuple[str, float], ...]
-    partitions: dict[str, Partition]
+    monoplexes: dict[str, SimilarityLayer]
+    monoplex_dcor: CorrelationTable | None = None
+    snf_layer_dcor: tuple[tuple[str, float], ...] = ()
+    partitions: dict[str, Partition] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
-            "layers": list(self.layer_names),
+            "layers": list(self.multiplex.names),
             "entities": {
                 "initial": self.filter_log.total,
                 "final": len(self.filter_log.retained),
@@ -497,7 +501,7 @@ def _fuse_all(multiplex: Multiplex, cfg: PipelineConfig, tables) -> dict:
     return outcomes
 
 
-def fuse_stages(cfg: PipelineConfig):
+def fuse_stages(cfg: PipelineConfig) -> RunReport:
     """The stages ``run`` and ``fuse`` share: load, filter, similarity, weights, one per method.
 
     The methods are fused concurrently, on up to min(methods, CPUs) threads
@@ -507,8 +511,8 @@ def fuse_stages(cfg: PipelineConfig):
     layer, so the first method to fail in that order names the error, and
     no result depends on thread scheduling.
 
-    Returns the multiplex, the filter log, the RBF bandwidths, the weight
-    tables, and the fusion results and monoplex layers keyed by method.
+    Returns the run record up to the fusion results and monoplex layers,
+    keyed by method; its dcor tables and partitions are still empty.
     """
     with stage("load"):
         tables = load_abundance_tables(cfg.inputs)
@@ -528,7 +532,7 @@ def fuse_stages(cfg: PipelineConfig):
                 raise outcomes[method]
             fusion[method] = outcomes[method]
             monoplexes[method] = fusion[method].as_layer()
-    return multiplex, flog, sigmas, weight_tables, fusion, monoplexes
+    return RunReport(multiplex, flog, sigmas, weight_tables, fusion, monoplexes)
 
 
 def _dcor_tables(multiplex: Multiplex, monoplexes: dict[str, SimilarityLayer]):
@@ -558,26 +562,16 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     methods fail, the error is the first one's in ``cfg.methods`` order, and
     nothing is written.
     """
-    multiplex, flog, sigmas, weight_tables, fusion, monoplexes = fuse_stages(cfg)
+    report = fuse_stages(cfg)
     with stage("dcor"):
-        mono_dcor, snf_layer = _dcor_tables(multiplex, monoplexes)
+        report.monoplex_dcor, report.snf_layer_dcor = _dcor_tables(report.multiplex, report.monoplexes)
     with stage("cluster"):
-        partitions = {
+        report.partitions = {
             name: louvain_communities(lay, cfg.resolution, cfg.seed)
-            for name, lay in monoplexes.items()
+            for name, lay in report.monoplexes.items()
         }
-    report = RunReport(
-        layer_names=multiplex.names,
-        filter_log=flog,
-        sigmas=sigmas,
-        weight_tables=weight_tables,
-        fusion=fusion,
-        monoplex_dcor=mono_dcor,
-        snf_layer_dcor=snf_layer,
-        partitions=partitions,
-    )
     with stage("write"):
-        _write_artifacts(Path(cfg.output_dir), cfg, multiplex, report, monoplexes)
+        _write_artifacts(Path(cfg.output_dir), report, cfg.export_threshold)
     return report
 
 
@@ -729,16 +723,16 @@ def _graphml_text(labels, partition, edges) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_artifacts(out_dir: Path, cfg: PipelineConfig, multiplex: Multiplex, report: RunReport, mono_layers):
+def _write_artifacts(out_dir: Path, report: RunReport, threshold: float):
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    for name, lay in zip(multiplex.names, multiplex.layers):
+    for name, lay in zip(report.multiplex.names, report.multiplex.layers):
         write_similarity_csv(out_dir / "layers" / f"{name}.csv", lay.labels, lay.S)
 
-    for name, lay in mono_layers.items():
+    for name, lay in report.monoplexes.items():
         write_similarity_csv(out_dir / f"monoplex_{name}.csv", lay.labels, lay.S)
         # what export_graph writes for these two formats, from one formatting of the weights
-        edges = _edges17(lay.S, cfg.export_threshold)
+        edges = _edges17(lay.S, threshold)
         _write_text(out_dir / f"edges_{name}.csv", _edge_list_text(lay.labels, edges))
         _write_text(
             out_dir / f"graph_{name}.graphml",
@@ -747,7 +741,7 @@ def _write_artifacts(out_dir: Path, cfg: PipelineConfig, multiplex: Multiplex, r
 
     tables = report.weight_tables
     wrows = [["layer", *tables]]
-    for i, name in enumerate(report.layer_names):
+    for i, name in enumerate(report.multiplex.names):
         wrows.append([name, *(fmt17(w[i]) for w in tables.values())])
     _write_text(out_dir / "weights.csv", _csv_text(wrows))
 

@@ -208,6 +208,8 @@ def snf_fuse(layers: Multiplex, cfg: SnfConfig | None = None) -> FusionResult:
     cfg = cfg or SnfConfig()
     if layers.m < 2:
         raise InvalidInput("fusion needs at least two layers")
+    if layers.n < 2:
+        raise InvalidInput(f"fusion needs at least two nodes, got {layers.n}")
     k = cfg.k if cfg.k is not None else default_k(layers.n)
 
     mats = layers.matrices()

@@ -123,6 +123,23 @@ class TestFuse:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "fuse"])
+    def test_out_is_a_file_names_write_stage(self, tmp_path, capsys, command):
+        (tmp_path / "out").write_text("")
+        assert main(command_args(command, tmp_path, inputs(2))) == 2
+        assert capsys.readouterr().err.startswith("error: [stage write] ")
+        assert (tmp_path / "out").read_text() == ""
+
+    @pytest.mark.parametrize("command", ["run", "fuse"])
+    def test_one_entity_after_filter_names_snf_cause(self, tmp_path, capsys, command):
+        a = tmp_path / "a.csv"
+        a.write_text("entity,s1,s2\na,1,2\nb,0,0\n")
+        b = tmp_path / "b.csv"
+        b.write_text("entity,s1,s2\na,3,1\nb,1,1\n")
+        assert main(command_args(command, tmp_path, [str(a), str(b)])) == 2
+        assert capsys.readouterr().err == "error: [stage snf] fusion needs at least two nodes, got 1\n"
+        assert not (tmp_path / "out").exists()
+
     def test_auto_sigma_is_the_default(self, tmp_path):
         base = ["fuse", "--method", "sma-f", "--inputs", *inputs(2)]
         assert main([*base, "--sigma", "auto", "--out", str(tmp_path / "auto")]) == 0
@@ -212,6 +229,7 @@ class TestFuse:
             ("snf", "snf", [], {}),
             ("sma-w", "sma-wasserstein", [], {}),
             ("sma-f", "sma-frobenius", ["--weights", "rv-pc"], {"weights_mode": "rv-leading-eigenvector"}),
+            ("sma-r", "sma-riemannian", [], {}),
         ],
     )
     def test_fuse_matches_run(self, tmp_path, flag, method, extra_args, extra_cfg):

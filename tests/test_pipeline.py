@@ -557,9 +557,10 @@ class TestRunPipeline:
             inputs=self.paths()[:3], output_dir=str(tmp_path / "out"), weights_mode=mode,
             methods=("sma-frobenius", "sma-riemannian", "sma-wasserstein"),
         )
-        _, _, _, tables, fusion, _ = pipeline.fuse_stages(cfg)
+        report = pipeline.fuse_stages(cfg)
+        tables = report.weight_tables
         assert list(tables) == ["frobenius", "rowsum"]
-        for method, result in fusion.items():
+        for method, result in report.fusion.items():
             expected = {
                 "uniform": uniform_weights(3),
                 "rv-leading-eigenvector": tables["frobenius"],

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from multifuse.errors import DimensionError, InvalidInput, InvalidParameter
 from multifuse.netanalysis import distance_correlation, louvain_communities, modularity
@@ -104,6 +107,19 @@ class TestRbf:
         rng = np.random.default_rng(2)
         lay = rbf_similarity(table(rng.standard_normal((9, 5))))
         assert np.array_equal(lay.S, lay.S.T)
+
+    @settings(deadline=None)
+    @given(
+        arrays(float, st.tuples(st.integers(1, 12), st.integers(1, 5)), elements=st.floats(0.0, 10.0)),
+        st.sampled_from([None, 1.0, 100.0]),
+        st.data(),
+    )
+    def test_permutation_equivariance(self, rows, sigma, data):
+        perm = data.draw(st.permutations(range(len(rows))))
+        base = rbf_similarity(table(rows), sigma)
+        permuted = rbf_similarity(table(rows[perm], [base.labels[i] for i in perm]), sigma)
+        assert permuted.labels == tuple(base.labels[i] for i in perm)
+        assert np.abs(permuted.S - base.S[np.ix_(perm, perm)]).max() <= 1e-12
 
 
 NAN_MATRIX = np.array([[1.0, 0.5, np.nan], [0.5, 1.0, 0.2], [np.nan, 0.2, 1.0]])

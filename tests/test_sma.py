@@ -208,6 +208,20 @@ class TestFrobeniusBarycenter:
         with pytest.raises(DimensionError):
             barycenter_frobenius(layers, [0.5, 0.5])
 
+    @settings(deadline=None)
+    @given(rbf_layer_sets(), st.data())
+    def test_permutation_equivariance(self, layers, data):
+        # an entrywise weighted sum: relabelling the nodes permutes it exactly
+        perm = data.draw(st.permutations(range(layers[0].n)))
+        w = weights_rowsum(rv_matrix(layers))
+        base = barycenter_frobenius(layers, w)
+        permuted = barycenter_frobenius(
+            [SimilarityLayer([lay.labels[i] for i in perm], lay.S[np.ix_(perm, perm)]) for lay in layers],
+            w,
+        )
+        assert permuted.labels == tuple(base.labels[i] for i in perm)
+        assert np.array_equal(permuted.matrix, base.matrix[np.ix_(perm, perm)])
+
 
 class TestRiemannianBarycenter:
     def test_identical_layers_fixed_point(self):

@@ -229,6 +229,11 @@ class TestSnfFuse:
         with pytest.raises(InvalidInput):
             snf_fuse(Multiplex((layer(np.eye(3)),)))
 
+    def test_needs_two_nodes(self):
+        # checked before k is resolved, so the error names the node count, not k
+        with pytest.raises(InvalidInput, match="^fusion needs at least two nodes, got 1$"):
+            snf_fuse(Multiplex((layer(np.eye(1)), layer(np.eye(1)))))
+
     def test_output_is_valid_similarity_layer(self):
         rng = np.random.default_rng(2)
         for _ in range(20):

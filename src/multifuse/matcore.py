@@ -17,7 +17,6 @@ from .errors import DimensionError, InvalidInput, InvalidParameter, SingularMatr
 
 __all__ = [
     "EigenPair",
-    "square_matrix",
     "sym_matrix",
     "sym_eigen",
     "spectral_fns",
@@ -52,11 +51,12 @@ class EigenPair(NamedTuple):
     vectors: np.ndarray  # shape (n, n), orthonormal columns
 
 
-def square_matrix(entries) -> np.ndarray:
-    """Float array of a square, nonempty, finite matrix, not symmetrised.
+def sym_matrix(entries) -> np.ndarray:
+    """Symmetric part ``(M + M.T) / 2`` of a square, nonempty, finite matrix.
 
     Raises ``DimensionError`` if the array is not square and ``InvalidInput``
-    if it is empty or contains non-finite values.
+    if it is empty or contains non-finite values.  Symmetrising once, at
+    construction, keeps all later operations drift-free.
     """
     m = np.asarray(entries, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -65,16 +65,6 @@ def square_matrix(entries) -> np.ndarray:
         raise InvalidInput("matrix dimension must be >= 1")
     if not np.isfinite(m).all():
         raise InvalidInput("matrix contains non-finite entries")
-    return m
-
-
-def sym_matrix(entries) -> np.ndarray:
-    """Validate a matrix with ``square_matrix`` and return its symmetric part.
-
-    Symmetry is enforced by averaging ``(M + M.T) / 2``; doing this once at
-    construction keeps all later operations drift-free.
-    """
-    m = square_matrix(entries)
     return (m + m.T) / 2.0
 
 

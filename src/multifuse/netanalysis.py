@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInput, InvalidParameter
 from .matcore import sq_distances
-from .simbuild import default_labels, layer_matrix
+from .simbuild import layer_matrix
 
 __all__ = [
     "Partition",
@@ -86,7 +86,7 @@ def _double_center(d: np.ndarray) -> np.ndarray:
 class CenteredDistances:
     """One network's double-centered distance matrix, as distance correlation reads it."""
 
-    labels: tuple[str, ...] | None
+    labels: tuple[str, ...]
     matrix: np.ndarray
 
 
@@ -118,7 +118,7 @@ def distance_correlation(A, B) -> float:
     a, b = centered_distances(A), centered_distances(B)
     if a.matrix.shape != b.matrix.shape:
         raise DimensionError(f"order mismatch: {a.matrix.shape[0]} vs {b.matrix.shape[0]}")
-    if a.labels is not None and b.labels is not None and a.labels != b.labels:
+    if a.labels != b.labels:
         raise DimensionError("networks are defined over different node labels")
     if a.matrix.shape[0] < 2:
         raise InvalidInput("distance correlation needs at least two nodes")
@@ -148,11 +148,11 @@ def correlation_table(names, networks) -> CorrelationTable:
 
 def _graph_weights(S) -> tuple[tuple[str, ...], np.ndarray]:
     labels, mat = layer_matrix(S)
-    w = (mat + mat.T) / 2.0
+    w = mat.copy()
     np.fill_diagonal(w, 0.0)
     if w.min() < 0:
         raise InvalidInput("edge weights must be nonnegative")
-    return labels or default_labels(w.shape[0]), w
+    return labels, w
 
 
 def _modularity_value(w: np.ndarray, comm: np.ndarray, resolution: float) -> float:

@@ -139,6 +139,36 @@ def _read_csv_records(path: Path) -> list[tuple[int, list[str]]]:
     return numbered
 
 
+def _numbers(path: Path, lineno: int, cells) -> list[float]:
+    """The cells of one record as floats; a cell that is not a number raises ``ParseError``."""
+    try:
+        return [float(c) for c in cells]
+    except ValueError:
+        for cell in cells:
+            try:
+                float(cell)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: not a number: {cell!r}") from exc
+
+
+def _check_values(path: Path, numbered, v: np.ndarray, upper: float = np.inf):
+    """Raise ``ParseError`` at the first entry of ``v`` outside [0, upper] or not finite.
+
+    ``v[r, c]`` was read from cell ``c + 1`` of record ``numbered[r]``; the
+    message names that record's file line and the cell's text.
+    """
+    bad = np.argwhere(~((v >= 0) & (v <= upper) & (v < np.inf)))  # nan fails every test
+    if len(bad):
+        r, c = bad[0]
+        lineno, row = numbered[r]
+        x, cell = v[r, c], row[c + 1]
+        if not np.isfinite(x):
+            raise ParseError(f"{path}:{lineno}: non-finite value {cell!r}")
+        if x < 0:
+            raise ParseError(f"{path}:{lineno}: negative value {cell!r}")
+        raise ParseError(f"{path}:{lineno}: value {cell!r} above {upper:g}")
+
+
 def _parse_abundance_csv(path: Path) -> FeatureTable:
     numbered = _read_csv_records(path)
     if not numbered:
@@ -162,22 +192,10 @@ def _parse_abundance_csv(path: Path) -> FeatureTable:
         if entity in seen:
             raise ParseError(f"{path}:{lineno}: duplicate entity id {entity!r}")
         seen.add(entity)
-        try:
-            values.append(list(map(float, row[1:])))
-        except ValueError:
-            for cell in row[1:]:
-                try:
-                    float(cell)
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: not a number: {cell!r}") from exc
+        values.append(_numbers(path, lineno, row[1:]))
         ids.append(entity)
     v = np.array(values)
-    bad = np.argwhere(~((v >= 0) & (v < np.inf)))  # negative, infinite or nan
-    if len(bad):
-        r, c = bad[0]
-        lineno, row = numbered[r + 1]
-        kind = "negative" if np.isfinite(v[r, c]) else "non-finite"
-        raise ParseError(f"{path}:{lineno}: {kind} value {row[c + 1]!r}")
+    _check_values(path, numbered[1:], v)
     return FeatureTable(tuple(ids), v, path.stem)
 
 
@@ -644,10 +662,8 @@ def load_similarity_csv(path) -> SimilarityLayer:
             raise ParseError(
                 f"{path}:{lineno}: row label {row[0]!r} does not match header order"
             )
-        try:
-            values[i] = [float(c) for c in row[1:]]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        values[i] = _numbers(path, lineno, row[1:])
+    _check_values(path, records, values, upper=1.0)
     try:
         return SimilarityLayer(labels, values)
     except InvalidInput as exc:

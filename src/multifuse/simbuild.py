@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InvalidInput, InvalidParameter
-from .matcore import sq_distances, square_matrix, sym_matrix
+from .matcore import sq_distances, sym_matrix
 
 __all__ = [
     "FeatureTable",
@@ -99,21 +99,17 @@ class SimilarityLayer:
         return self.S.shape[0]
 
 
-def default_labels(n: int) -> tuple[str, ...]:
-    """The node labels of a bare n x n array: ``"0"`` to ``str(n - 1)``."""
-    return tuple(str(i) for i in range(n))
+def layer_matrix(S) -> tuple[tuple[str, ...], np.ndarray]:
+    """Node labels and symmetric float matrix of a layer or a bare array.
 
-
-def layer_matrix(S) -> tuple[tuple[str, ...] | None, np.ndarray]:
-    """Labels (``None`` for a bare array) and float matrix of a layer or array.
-
-    The one reader of a "layer or array" argument.  A bare array is returned
-    as given, not symmetrised; it must be square (else ``DimensionError``),
-    nonempty and finite (else ``InvalidInput``).
+    The one reader of a "layer or array" argument.  A bare array is read as
+    its symmetric part through ``sym_matrix`` (so it must be square, nonempty
+    and finite), and its nodes are labelled ``"0"`` to ``str(n - 1)``.
     """
     if isinstance(S, SimilarityLayer):
         return S.labels, S.S
-    return None, square_matrix(S)
+    m = sym_matrix(S)
+    return tuple(str(i) for i in range(m.shape[0])), m
 
 
 @dataclass
@@ -150,9 +146,6 @@ class Multiplex:
     @property
     def m(self) -> int:
         return len(self.layers)
-
-    def matrices(self) -> list[np.ndarray]:
-        return [lay.S for lay in self.layers]
 
     def __len__(self) -> int:
         return len(self.layers)

@@ -41,7 +41,7 @@ from .matcore import (
     sym_eigen,
     sym_matrix,
 )
-from .simbuild import default_labels, layer_matrix
+from .simbuild import layer_matrix
 from .snf import FusionResult, iterate
 
 __all__ = [
@@ -91,14 +91,12 @@ class BarycenterConfig:
 def _coerce_layers(layers) -> tuple[tuple[str, ...], list[np.ndarray]]:
     """Labels and matrices of a Multiplex, or of a sequence of layers or arrays.
 
-    A bare array is symmetrised and its nodes are labelled ``default_labels``;
-    every item must share the first one's labels.
+    Each item is read by ``layer_matrix``; every item must share the first
+    one's labels.
     """
     labels, mats = None, []
     for item in layers:
         item_labels, m = layer_matrix(item)
-        if item_labels is None:
-            item_labels, m = default_labels(m.shape[0]), (m + m.T) / 2.0
         if labels is None:
             labels = item_labels
         elif item_labels != labels:

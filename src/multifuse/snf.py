@@ -212,8 +212,7 @@ def snf_fuse(layers: Multiplex, cfg: SnfConfig | None = None) -> FusionResult:
         raise InvalidInput(f"fusion needs at least two nodes, got {layers.n}")
     k = cfg.k if cfg.k is not None else default_k(layers.n)
 
-    mats = layers.matrices()
-    Q = [local_normalize(s, k) for s in mats]
+    Q = [local_normalize(lay, k) for lay in layers]
 
     # Rows whose k nearest neighbours all have zero similarity.
     dead = {name: np.flatnonzero(q.sum(axis=1) == 0).tolist() for name, q in zip(layers.names, Q)}
@@ -228,7 +227,7 @@ def snf_fuse(layers: Multiplex, cfg: SnfConfig | None = None) -> FusionResult:
     # The residual follows each step, so max_iter residuals mean max_iter steps.
     # Only the generator holds the initial status matrices, so a step frees them.
     P, history, converged = iterate(
-        diffuse([global_normalize(s) for s in mats]), cfg.epsilon, cfg.max_iter
+        diffuse([global_normalize(lay) for lay in layers]), cfg.epsilon, cfg.max_iter
     )
     return FusionResult(
         layers.labels, _reweight(sum(P) / len(P)), "snf", converged, len(history), tuple(history),

@@ -288,8 +288,12 @@ class TestCluster:
             (",a,b\n", "{path}: expected a header and at least one row"),
             (",a,b\nb,0.5,1\na,1,0.5\n", "{path}:2: row label 'b' does not match header order"),
             (',a\n"a,1\n' + "x" * 140_000 + "\n", "{path}:2: field larger than field limit (131072)"),
+            (",a,b\na,1,0.5\nb,nan,1\n", "{path}:3: non-finite value 'nan'"),
+            (",a,b\na,1,1.5\nb,0.5,1\n", "{path}:2: value '1.5' above 1"),
+            (",a,b\na,1,0.5\nb,x,1\n", "{path}:3: not a number: 'x'"),
         ],
-        ids=["header-only", "row-order", "unclosed-quote"],
+        ids=["header-only", "row-order", "unclosed-quote", "nan-cell", "above-one-cell",
+             "non-numeric-cell"],
     )
     def test_rejected_matrix_csv_message(self, tmp_path, capsys, text, message):
         p = tmp_path / "m.csv"
@@ -475,6 +479,9 @@ class TestRun:
             {"sma": {"tol": float("inf")}},
             {"sma": {"jitter": float("nan")}},
             {"seed": -1},
+            {"snf": {"k": 0}},
+            {"snf": {"epsilon": 0}},
+            {"snf": {"max_iter": 0}},
         ],
         ids=lambda e: json.dumps(e),
     )

@@ -109,17 +109,29 @@ class TestDistanceCorrelation:
         b = rand_similarity(np.random.default_rng(3), 4)
         assert distance_correlation(a, b) == 0.0
 
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(4)
-        a, b = rand_similarity(rng, 7), rand_similarity(rng, 7)
-        perm = rng.permutation(7)
-        before = distance_correlation(a, b)
-        after = distance_correlation(a[np.ix_(perm, perm)], b[np.ix_(perm, perm)])
-        assert abs(before - after) <= 1e-12
+    @settings(deadline=None)
+    @given(st.integers(3, 12), st.integers(0, 2**32 - 1), st.data())
+    def test_permutation_invariance(self, n, seed, data):
+        # worst change in two runs of 1000 draws: 3.3e-16
+        rng = np.random.default_rng(seed)
+        labels = [f"e{i}" for i in range(n)]
+        a, b = (SimilarityLayer(labels, rand_similarity(rng, n)) for _ in range(2))
+        perm = data.draw(st.permutations(range(n)))
+        moved = [SimilarityLayer([labels[i] for i in perm], x.S[np.ix_(perm, perm)]) for x in (a, b)]
+        assert abs(distance_correlation(*moved) - distance_correlation(a, b)) <= 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             distance_correlation(np.eye(3), np.eye(4))
+
+    def test_one_node_rejected(self):
+        with pytest.raises(InvalidInput, match="at least two nodes"):
+            distance_correlation(np.eye(1), np.eye(1))
+
+    def test_bare_array_against_relabelled_layer(self):
+        # a bare array's nodes are labelled "0" to "n-1"
+        with pytest.raises(DimensionError, match="different node labels"):
+            distance_correlation(np.eye(3), SimilarityLayer(("a", "b", "c"), np.eye(3)))
 
     def test_label_mismatch(self):
         a = SimilarityLayer(("a", "b"), np.eye(2))
@@ -155,6 +167,10 @@ class TestDistanceCorrelation:
         assert table.names == ("w", "x", "y", "z")
         assert np.array_equal(table.values, table.values.T)
         assert np.abs(np.diag(table.values) - 1.0).max() <= 1e-12
+
+    def test_table_needs_one_name_per_network(self):
+        with pytest.raises(InvalidInput, match="one name per network"):
+            correlation_table(("w",), [np.eye(3), np.eye(3)])
 
     def test_memory_is_quadratic(self):
         # n^3 difference temporaries would take 8 * 300^3 bytes = 216 MB
@@ -321,6 +337,10 @@ class TestModularity:
         with pytest.raises(DimensionError):
             modularity(lay, part)
 
+    def test_resolution_validated(self):
+        with pytest.raises(InvalidParameter):
+            modularity(two_cliques(), np.zeros(8, dtype=int), resolution=np.inf)
+
     def test_coverage_check(self):
         with pytest.raises(InvalidInput):
             modularity(two_cliques(), np.zeros(3, dtype=int))
@@ -336,3 +356,7 @@ class TestTypes:
             CorrelationTable(("a", "b"), np.array([[1.0, 0.5], [0.4, 1.0]]))
         with pytest.raises(InvalidInput):
             CorrelationTable(("a", "b"), np.array([[0.9, 0.5], [0.5, 1.0]]))
+        with pytest.raises(InvalidInput, match=r"lie in \[0, 1\]"):
+            CorrelationTable(("a", "b"), np.array([[1.0, 1.5], [1.5, 1.0]]))
+        with pytest.raises(DimensionError):
+            CorrelationTable(("a", "b"), np.eye(3))

@@ -57,6 +57,10 @@ class TestLoad:
         assert np.array_equal(tables[1].rows[0], [0.0, 0.0])
         assert np.array_equal(tables[0].rows[2], [0.0])
 
+    def test_no_files(self):
+        with pytest.raises(InvalidInput, match="no input files"):
+            load_abundance_tables([])
+
     def test_header_only_is_empty_table(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", "entity,s1\n")
         with pytest.raises(EmptyTable):
@@ -171,6 +175,13 @@ class TestFilter:
         assert log.total - len(log.removed_everywhere) - len(log.removed_partial) == len(log.retained)
         assert filtered[0].labels == ("a", "d")
         assert np.array_equal(filtered[1].rows, [[1.0, 1.0], [2.0, 0.0]])
+
+    def test_rejects_no_tables_and_unaligned_tables(self):
+        with pytest.raises(InvalidInput, match="no tables"):
+            filter_entities([])
+        a, b = self.make("l0", ("a", "b"), [[1.0], [1.0]]), self.make("l1", ("a", "c"), [[1.0], [1.0]])
+        with pytest.raises(InvalidInput, match="one entity universe"):
+            filter_entities([a, b])
 
     def test_all_removed(self):
         t = self.make("l1", ("a",), [[0.0]])

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from multifuse.errors import DimensionError, InvalidInput, InvalidParameter
 from multifuse.netanalysis import distance_correlation, louvain_communities, modularity
 from multifuse.simbuild import FeatureTable, Multiplex, SimilarityLayer, auto_sigma, rbf_similarity
-from multifuse.sma import rv_matrix, weights_rowsum
+from multifuse.sma import barycenter_frobenius, rv_matrix, weights_rowsum
 from multifuse.snf import global_normalize, local_normalize
 
 
@@ -27,6 +27,13 @@ class TestTypes:
     def test_feature_table_label_mismatch(self):
         with pytest.raises(InvalidInput):
             FeatureTable(("a",), np.zeros((2, 1)))
+
+    def test_feature_table_scalar_rows_become_one_column(self):
+        assert FeatureTable(("a", "b"), [1.0, 2.0]).rows.tolist() == [[1.0], [2.0]]
+
+    def test_layer_needs_one_label_per_node(self):
+        with pytest.raises(InvalidInput, match="1 labels for order 2"):
+            SimilarityLayer(("a",), np.eye(2))
 
     def test_layer_range_check(self):
         with pytest.raises(InvalidInput):
@@ -49,6 +56,13 @@ class TestTypes:
         mx = Multiplex((a, a))
         assert mx.names == ("layer0", "layer1")
         assert mx.m == 2 and mx.n == 2
+
+    def test_multiplex_needs_a_layer_and_one_name_each(self):
+        a = SimilarityLayer(("a", "b"), np.eye(2))
+        with pytest.raises(InvalidInput, match="at least one layer"):
+            Multiplex(())
+        with pytest.raises(InvalidInput, match="one name per layer"):
+            Multiplex((a, a), ("L",))
 
     def test_multiplex_rejects_duplicate_names(self):
         a = SimilarityLayer(("a", "b"), np.eye(2))
@@ -154,6 +168,33 @@ def test_bare_array_with_nan_rejected(call):
     ids=["SimilarityLayer", "weights_rowsum", "rv_matrix", "distance_correlation"],
 )
 def test_nonsquare_array_raises_dimension_error(call):
-    # sym_matrix and layer_matrix share matcore.square_matrix
+    # layer_matrix reads a bare array with matcore.sym_matrix
     with pytest.raises(DimensionError, match="square"):
         call(np.ones((2, 3)))
+
+
+NONSYMMETRIC = np.array(
+    [[1.0, 0.9, 0.1, 0.2], [0.7, 1.0, 0.3, 0.0], [0.0, 0.2, 1.0, 0.8], [0.1, 0.1, 0.6, 1.0]]
+)
+
+
+def louvain_outcome(s):
+    part = louvain_communities(s)
+    return [*part.community, part.modularity]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: distance_correlation(s, np.eye(4)),
+        lambda s: local_normalize(s, 2),
+        global_normalize,
+        louvain_outcome,
+        lambda s: rv_matrix([s, np.eye(4)]),
+        lambda s: barycenter_frobenius([s, np.eye(4)], [0.5, 0.5]).matrix,
+    ],
+    ids=["distance_correlation", "local_normalize", "global_normalize", "louvain_communities",
+         "rv_matrix", "barycenter_frobenius"],
+)
+def test_bare_array_is_read_as_its_symmetric_part(call):
+    assert np.array_equal(call(NONSYMMETRIC), call((NONSYMMETRIC + NONSYMMETRIC.T) / 2))

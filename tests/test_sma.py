@@ -72,6 +72,10 @@ class TestRvMatrix:
         with pytest.raises(InvalidInput):
             rv_matrix([np.zeros((2, 2)), np.eye(2)])
 
+    def test_one_layer_rejected(self):
+        with pytest.raises(InvalidInput, match="at least two layers"):
+            rv_matrix([np.eye(2)])
+
     def test_bare_arrays_are_symmetrised(self):
         a = np.array([[1.0, 0.9, 0.0], [0.1, 1.0, 0.4], [0.2, 0.6, 1.0]])
         assert np.array_equal(rv_matrix([a, a.T]), np.ones((2, 2)))
@@ -104,6 +108,28 @@ def rbf_layer_sets(draw):
         rows = np.array([distinct[i] for i in pick]) + offset
         layers.append(rbf_similarity(FeatureTable(labels, rows), sigma))
     return layers
+
+
+@st.composite
+def seeded_rbf_layers(draw):
+    """2 to 5 RBF layers over 3 to 12 nodes, each with 5 to 20 uniform sites.
+
+    The rows come from one drawn seed.  Five or more random sites keep each
+    layer's condition number below about 1e3.  With 3 to 6 sites it reached
+    4e5 in 1000 draws, and the Wasserstein mean's permutation error 1.2e-12.
+    """
+    n, m = draw(st.integers(3, 12)), draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = tuple(f"e{i}" for i in range(n))
+    return [
+        rbf_similarity(FeatureTable(labels, rng.uniform(0.0, 10.0, (n, draw(st.integers(5, 20))))))
+        for _ in range(m)
+    ]
+
+
+def permuted(layers, perm):
+    """The layers with node ``perm[i]`` moved to position ``i``, labels included."""
+    return [SimilarityLayer([lay.labels[i] for i in perm], lay.S[np.ix_(perm, perm)]) for lay in layers]
 
 
 class TestWeights:
@@ -156,6 +182,11 @@ class TestWeights:
         with pytest.raises(InvalidInput):
             weights_rowsum(np.eye(3))
 
+    def test_rowsum_negative_offdiagonal(self):
+        r = np.array([[1.0, 0.9, -0.5], [0.9, 1.0, 0.1], [-0.5, 0.1, 1.0]])
+        with pytest.raises(InvalidInput, match="must be nonnegative"):
+            weights_rowsum(r)
+
     def test_weight_contracts_on_random_rv(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -172,9 +203,13 @@ class TestWeights:
             check_weights([1.5, -0.5], 2)
         with pytest.raises(DimensionError):
             check_weights([1.0], 2)
+        with pytest.raises(InvalidInput, match="non-finite"):
+            check_weights([np.nan, 1.0], 2)
 
     def test_uniform(self):
         assert np.array_equal(uniform_weights(4), np.full(4, 0.25))
+        with pytest.raises(InvalidParameter):
+            uniform_weights(0)
 
 
 class TestFrobeniusBarycenter:
@@ -215,12 +250,9 @@ class TestFrobeniusBarycenter:
         perm = data.draw(st.permutations(range(layers[0].n)))
         w = weights_rowsum(rv_matrix(layers))
         base = barycenter_frobenius(layers, w)
-        permuted = barycenter_frobenius(
-            [SimilarityLayer([lay.labels[i] for i in perm], lay.S[np.ix_(perm, perm)]) for lay in layers],
-            w,
-        )
-        assert permuted.labels == tuple(base.labels[i] for i in perm)
-        assert np.array_equal(permuted.matrix, base.matrix[np.ix_(perm, perm)])
+        moved = barycenter_frobenius(permuted(layers, perm), w)
+        assert moved.labels == tuple(base.labels[i] for i in perm)
+        assert np.array_equal(moved.matrix, base.matrix[np.ix_(perm, perm)])
 
 
 class TestRiemannianBarycenter:
@@ -270,14 +302,17 @@ class TestRiemannianBarycenter:
         b = barycenter_riemannian(mats[::-1], w[::-1])
         assert fro_norm(a.matrix - b.matrix) <= 1e-10
 
-    def test_permutation_equivariance(self):
-        rng = np.random.default_rng(9)
-        mats = [rand_cp(rng, 6) for _ in range(3)]
-        w = uniform_weights(3)
-        perm = rng.permutation(6)
-        base = barycenter_riemannian(mats, w)
-        permuted = barycenter_riemannian([m[np.ix_(perm, perm)] for m in mats], w)
-        assert fro_norm(permuted.matrix - base.matrix[np.ix_(perm, perm)]) <= 1e-9
+    @settings(deadline=None)
+    @given(seeded_rbf_layers(), st.data())
+    def test_permutation_equivariance(self, layers, data):
+        # worst entry error in two runs of 1000 draws: 9.0e-15, 110 times below the bound
+        perm = data.draw(st.permutations(range(layers[0].n)))
+        w = weights_rowsum(rv_matrix(layers))
+        base = barycenter_riemannian(layers, w)
+        moved = barycenter_riemannian(permuted(layers, perm), w)
+        assert moved.labels == tuple(base.labels[i] for i in perm)
+        assert moved.iterations == base.iterations
+        assert np.abs(moved.matrix - base.matrix[np.ix_(perm, perm)]).max() <= 1e-12
 
 
 def planted_rbf_multiplex(n, groups, m=9, p=20, seed=0):
@@ -420,14 +455,17 @@ class TestWassersteinBarycenter:
         b = barycenter_wasserstein(mats[::-1], w[::-1])
         assert fro_norm(a.matrix - b.matrix) <= 1e-9
 
-    def test_permutation_equivariance(self):
-        rng = np.random.default_rng(14)
-        mats = [rand_cp(rng, 6) for _ in range(3)]
-        w = uniform_weights(3)
-        perm = rng.permutation(6)
-        base = barycenter_wasserstein(mats, w)
-        permuted = barycenter_wasserstein([m[np.ix_(perm, perm)] for m in mats], w)
-        assert fro_norm(permuted.matrix - base.matrix[np.ix_(perm, perm)]) <= 1e-9
+    @settings(deadline=None)
+    @given(seeded_rbf_layers(), st.data())
+    def test_permutation_equivariance(self, layers, data):
+        # worst entry error in two runs of 1000 draws: 7.3e-14, 14 times below the bound
+        perm = data.draw(st.permutations(range(layers[0].n)))
+        w = weights_rowsum(rv_matrix(layers))
+        base = barycenter_wasserstein(layers, w)
+        moved = barycenter_wasserstein(permuted(layers, perm), w)
+        assert moved.labels == tuple(base.labels[i] for i in perm)
+        assert moved.iterations == base.iterations
+        assert np.abs(moved.matrix - base.matrix[np.ix_(perm, perm)]).max() <= 1e-12
 
 
 class TestSolveBarycenter:

@@ -7,11 +7,16 @@ squared distances under one of three metrics:
 * Riemannian (affine-invariant): the unique solution of
   ``sum_l w_l log(X^{1/2} S_l^{-1} X^{1/2}) = 0``, found by the gradient
   iteration ``X <- X^{1/2} exp(theta T) X^{1/2}`` on the tangent
-  ``T = sum_l w_l log(X^{-1/2} S_l X^{-1/2})``, with the step ``theta`` of
-  ``barycenter_riemannian``.
+  ``T = sum_l w_l log(X^{-1/2} S_l X^{-1/2})``.
 * Wasserstein (Bures): the unique solution of
-  ``X = sum_l w_l (X^{1/2} S_l X^{1/2})^{1/2}``, found by the fixed-point
-  iteration ``X <- X^{-1/2} (sum_l w_l (X^{1/2} S_l X^{1/2})^{1/2})^2 X^{-1/2}``.
+  ``X = sum_l w_l (X^{1/2} S_l X^{1/2})^{1/2}``, found by the gradient
+  iteration ``X <- M X M`` with ``M = I + eta (T - I)``, where ``T = X^{-1/2}
+  (sum_l w_l (X^{1/2} S_l X^{1/2})^{1/2}) X^{-1/2}`` averages the optimal
+  maps from ``X`` to the layers; ``eta = 1`` is the classical fixed-point map.
+
+Both metric means take their steps from one Barzilai-Borwein rule,
+``_bb_step``, clipped to an interval whose lower end has a convergence
+proof.
 
 Layer weights come from the matrix of RV coefficients: either its leading
 eigenvector (the natural companion of the arithmetic mean) or its normalized
@@ -61,6 +66,12 @@ __all__ = [
 SPECTRAL_GAP_TOL = 1e-10
 
 WEIGHT_SUM_TOL = 1e-12
+
+#: Largest Barzilai-Borwein step of the Wasserstein update.
+WASSERSTEIN_STEP_MAX = 3.0
+
+#: Smallest eigenvalue that a Wasserstein step above 1 leaves in ``I + eta (T - I)``.
+PD_MARGIN = 0.5
 
 
 @dataclass
@@ -260,20 +271,21 @@ def _bini_iannazzo_step(conds, w) -> float:
     return 2.0 / total
 
 
-def _karcher_step(theta: float, theta_k: float, prev_sq: float, prev_dot: float,
-                  risen: bool) -> float:
-    """Step length of a Karcher update after the first.
+def _bb_step(step: float, lo: float, hi: float, prev_sq: float, prev_dot: float,
+             fall_back: bool) -> float:
+    """Step length of a metric-mean update after the first.
 
-    The Barzilai-Borwein step ``theta <T', T'> / <T', T' - T>`` on the
-    previous and current tangents ``T'`` and ``T``, given as ``prev_sq =
-    <T', T'>`` and ``prev_dot = <T', T>``, clipped to ``[theta_k, 1]``.
-    ``theta_k`` itself when that denominator is not positive, or once the
-    residual has risen at any step.
+    The Barzilai-Borwein step ``step <G', G'> / <G', G' - G>`` on the
+    previous and current gradients ``G'`` and ``G``, given as ``prev_sq =
+    <G', G'>`` and ``prev_dot = <G', G>``, clipped to ``[lo, hi]``.  ``lo``
+    itself when that denominator is not positive, or when ``fall_back`` is
+    set: the residual has just risen, so this one update takes the safe step
+    and the next resumes the quotient.
     """
     denom = prev_sq - prev_dot
-    if risen or not denom > 0:
-        return theta_k
-    return min(1.0, max(theta_k, theta * prev_sq / denom))
+    if fall_back or not denom > 0:
+        return lo
+    return min(hi, max(lo, step * prev_sq / denom))
 
 
 def barycenter_riemannian(layers, w, cfg: BarycenterConfig | None = None) -> FusionResult:
@@ -286,10 +298,11 @@ def barycenter_riemannian(layers, w, cfg: BarycenterConfig | None = None) -> Fus
 
     The first step is ``theta = 1``, which solves two layers at once: from
     the arithmetic mean their whitened forms sum to I, so they commute.
-    Later steps are the Barzilai-Borwein step of ``_karcher_step``, clipped
-    to ``[theta_k, 1]`` with ``theta_k`` the step of Bini and Iannazzo
-    (``_bini_iannazzo_step``), which comes with a convergence proof.  Once
-    the residual has risen at any step, every later step is ``theta_k``.
+    Later steps are the Barzilai-Borwein step of ``_bb_step``, clipped to
+    ``[theta_k, 1]`` with ``theta_k`` the step of Bini and Iannazzo
+    (``_bini_iannazzo_step``), which comes with a convergence proof.  The
+    update right after a rise of the residual takes ``theta_k``; the next
+    one resumes the quotient.
     """
     cfg = cfg or BarycenterConfig()
     labels, mats = _coerce_layers(layers)
@@ -297,7 +310,7 @@ def barycenter_riemannian(layers, w, cfg: BarycenterConfig | None = None) -> Fus
     mats = _prepare_pd(mats, 1e-8 if cfg.jitter is None else cfg.jitter, require_pd=True)
 
     def karcher(x):
-        theta, prev, risen = 1.0, None, False
+        theta, prev = 1.0, None
         while True:
             xs, xis = spectral_fns(x, "sqrt", "invsqrt")
             tangent = np.zeros_like(x)
@@ -310,10 +323,9 @@ def barycenter_riemannian(layers, w, cfg: BarycenterConfig | None = None) -> Fus
             yield residual, x
             if prev is not None:
                 prev_tangent, prev_residual = prev
-                risen = risen or residual > prev_residual
-                theta = _karcher_step(
-                    theta, _bini_iannazzo_step(conds, w), prev_residual**2,
-                    float(np.vdot(prev_tangent, tangent)), risen,
+                theta = _bb_step(
+                    theta, _bini_iannazzo_step(conds, w), 1.0, prev_residual**2,
+                    float(np.vdot(prev_tangent, tangent)), residual > prev_residual,
                 )
             prev = tangent, residual
             x = xs @ spectral_fns(theta * tangent, "exp")[0] @ xs
@@ -326,29 +338,70 @@ def barycenter_riemannian(layers, w, cfg: BarycenterConfig | None = None) -> Fus
     return FusionResult(labels, x, "sma-riemannian", converged, len(history) - 1, tuple(history), w)
 
 
+def _pd_step_cap(t: np.ndarray) -> float:
+    """Largest Wasserstein step that keeps ``M = I + eta (T - I)`` definite.
+
+    ``M``'s smallest eigenvalue is ``1 - eta (1 - lambda_min(T))``, which
+    stays at or above ``PD_MARGIN`` for every ``eta`` up to ``(1 - PD_MARGIN)
+    / (1 - lambda_min(T))``.  The cap is never below 1, the step at which
+    ``M = T``, and there is none when ``lambda_min(T) >= 1``.
+    """
+    gap = 1.0 - float(np.linalg.eigvalsh(t)[0])
+    return max(1.0, (1.0 - PD_MARGIN) / gap) if gap > 0 else np.inf
+
+
 def barycenter_wasserstein(layers, w, cfg: BarycenterConfig | None = None) -> FusionResult:
     """Bures-Wasserstein mean of positive semidefinite layers.
 
-    Starts from the arithmetic mean and iterates the fixed-point map until
-    ``||X - sum_l w_l (X^{1/2} S_l X^{1/2})^{1/2}||_F <= tol``.  Layers may
-    be semidefinite as long as the iterate stays positive definite.
+    Starts from the arithmetic mean and takes gradient steps in the Bures
+    geometry until ``||X - sum_l w_l (X^{1/2} S_l X^{1/2})^{1/2}||_F <= tol``.
+    With ``T = X^{-1/2} (sum_l w_l (X^{1/2} S_l X^{1/2})^{1/2}) X^{-1/2}``,
+    the weighted mean of the optimal maps from ``X`` to the layers, the
+    update is ``X <- M X M`` with ``M = I + eta (T - I)``.  The step ``eta =
+    1`` is the fixed-point map of Alvarez-Esteban et al., which is proven to
+    converge, and the first update takes it.  Later steps are the
+    Barzilai-Borwein step of ``_bb_step`` on the gradients ``G = T - I``,
+    clipped to ``[1, WASSERSTEIN_STEP_MAX]``; the update right after a rise
+    of the residual takes ``eta = 1``.
+
+    ``M X M`` is a congruence, formed as the Gram product ``(M X^{1/2})
+    (M X^{1/2})'``, so ``X`` stays symmetric positive semidefinite, and
+    definite while ``M`` is.  A step above 1 is capped by ``_pd_step_cap``,
+    at the cost of one ``eigvalsh`` of ``T``, so that ``M``'s smallest
+    eigenvalue stays at or above ``PD_MARGIN = 1/2``; at ``eta = 1``, ``M =
+    T``.  Layers may be semidefinite as long as the iterate stays positive
+    definite.
     """
     cfg = cfg or BarycenterConfig()
     labels, mats = _coerce_layers(layers)
     w = check_weights(w, len(mats))
     mats = _prepare_pd(mats, cfg.jitter or 0.0, require_pd=False)
+    eye = np.eye(mats[0].shape[0])
 
-    def fixed_point(x):
+    def bures_descent(x):
+        eta, prev = 1.0, None
         while True:
             xs, xis = spectral_fns(x, "sqrt", "invsqrt")
             mean_root = np.zeros_like(x)
             for wl, s in zip(w, mats):
                 mean_root += wl * spectral_fns(xs @ s @ xs, "sqrt", clip=True)[0]
-            yield fro_norm(x - mean_root), x
-            x = xis @ (mean_root @ mean_root) @ xis
-            x = (x + x.T) / 2.0
+            residual = fro_norm(x - mean_root)
+            yield residual, x
+            t = xis @ mean_root @ xis
+            grad = t - eye
+            if prev is not None:
+                prev_grad, prev_residual = prev
+                eta = _bb_step(
+                    eta, 1.0, WASSERSTEIN_STEP_MAX, float(np.vdot(prev_grad, prev_grad)),
+                    float(np.vdot(prev_grad, grad)), residual > prev_residual,
+                )
+                if eta > 1.0:
+                    eta = min(eta, _pd_step_cap(t))
+            prev = grad, residual
+            b = (eye + eta * grad) @ xs
+            x = b @ b.T
 
-    x, history, converged = iterate(fixed_point(_weighted_sum(mats, w)), cfg.tol, cfg.max_iter + 1)
+    x, history, converged = iterate(bures_descent(_weighted_sum(mats, w)), cfg.tol, cfg.max_iter + 1)
     return FusionResult(labels, x, "sma-wasserstein", converged, len(history) - 1, tuple(history), w)
 
 

@@ -177,6 +177,24 @@ class TestFuse:
         assert code == 3
 
 
+    @pytest.mark.parametrize("extra", [[], ["--jitter", "1e-8"]], ids=["no-jitter", "jitter"])
+    def test_one_site_layers_fuse_with_sma_w(self, tmp_path, extra):
+        # one site per layer makes every RBF layer numerically singular; the
+        # Wasserstein iterate must stay positive semidefinite all the same
+        rng = np.random.default_rng(5)
+        paths = []
+        for k in range(1, 10):
+            v = rng.uniform(0, 1, 30) * (rng.random(30) > 0.1)
+            v[v == 0] = 0.05
+            path = tmp_path / f"L{k}.csv"
+            path.write_text("entity,site\n" + "".join(f"e{i:02d},{float(x)!r}\n" for i, x in enumerate(v)))
+            paths.append(str(path))
+        out = tmp_path / "out"
+        assert main(["fuse", "--method", "sma-w", "--inputs", *paths, *extra, "--out", str(out)]) == 0
+        s = load_similarity_csv(out / "monoplex_sma-wasserstein.csv").S
+        assert np.isfinite(s).all()
+        assert np.linalg.eigvalsh(s)[0] >= 0.0
+
     @pytest.mark.parametrize(
         "content",
         [b"entity,s1\nx,abc\n", "entity,s1\nsp\xfc1,1.0\n".encode("latin-1")],

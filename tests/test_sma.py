@@ -29,7 +29,12 @@ from multifuse.sma import (
     weights_rowsum,
 )
 
-from oracles import geometric_mean_pair, log_euclidean_mean, wasserstein_mean_pair
+from oracles import (
+    geometric_mean_pair,
+    log_euclidean_mean,
+    wasserstein_fixed_point_reference,
+    wasserstein_mean_pair,
+)
 
 
 def rand_spd(rng, n, lo=1e-1, hi=1e1):
@@ -367,33 +372,55 @@ class TestKarcherStep:
 
     def test_step_rule(self):
         # Barzilai-Borwein step theta <T', T'> / <T', T' - T>, clipped to [theta_k, 1]
-        assert sma._karcher_step(0.5, 0.2, 1.0, 0.2, False) == 0.625
-        assert sma._karcher_step(0.9, 0.2, 1.0, 0.5, False) == 1.0
-        assert sma._karcher_step(0.5, 0.2, 1.0, -9.0, False) == 0.2
-        # theta_k when the denominator is not positive or after a rise
-        assert sma._karcher_step(0.5, 0.2, 1.0, 1.0, False) == 0.2
-        assert sma._karcher_step(0.5, 0.2, 1.0, 0.2, True) == 0.2
+        assert sma._bb_step(0.5, 0.2, 1.0, 1.0, 0.2, False) == 0.625
+        assert sma._bb_step(0.9, 0.2, 1.0, 1.0, 0.5, False) == 1.0
+        assert sma._bb_step(0.5, 0.2, 1.0, 1.0, -9.0, False) == 0.2
+        # theta_k when the denominator is not positive or right after a rise
+        assert sma._bb_step(0.5, 0.2, 1.0, 1.0, 1.0, False) == 0.2
+        assert sma._bb_step(0.5, 0.2, 1.0, 1.0, 0.2, True) == 0.2
+        # the Wasserstein clip [1, 3] of the same rule
+        hi = sma.WASSERSTEIN_STEP_MAX
+        assert hi == 3.0
+        assert sma._bb_step(1.0, 1.0, hi, 1.0, 0.5, False) == 2.0
+        assert sma._bb_step(2.0, 1.0, hi, 1.0, 0.5, False) == 3.0
+        assert sma._bb_step(1.0, 1.0, hi, 1.0, -1.0, False) == 1.0
+        assert sma._bb_step(2.0, 1.0, hi, 1.0, 1.0, False) == 1.0
+        assert sma._bb_step(1.0, 1.0, hi, 1.0, 0.5, True) == 1.0
 
     def test_theta_k_after_the_residual_rises(self, monkeypatch):
+        # theta_k for the one update right after each rise, the quotient otherwise
         steps = []
-        pick = sma._karcher_step
+        pick = sma._bb_step
 
-        def recording(theta, theta_k, prev_sq, prev_dot, risen):
-            steps.append((risen, theta_k, pick(theta, theta_k, prev_sq, prev_dot, risen)))
+        def recording(step, lo, hi, prev_sq, prev_dot, fall_back):
+            quotient = pick(step, lo, hi, prev_sq, prev_dot, False)
+            steps.append((fall_back, lo, pick(step, lo, hi, prev_sq, prev_dot, fall_back), quotient))
             return steps[-1][2]
 
-        monkeypatch.setattr(sma, "_karcher_step", recording)
+        monkeypatch.setattr(sma, "_bb_step", recording)
         rng = np.random.default_rng(1)
         mats = [rand_spd(rng, 5, 1e-2, 1e2) for _ in range(4)]
         res = barycenter_riemannian(mats, [0.4, 0.3, 0.2, 0.1])
         assert res.converged
         history = np.array(res.residual_history)
-        first_rise = int(np.flatnonzero(history[1:] > history[:-1])[0]) + 1
         # steps[j] picks the update after residual j + 1
-        assert not any(risen for risen, _, _ in steps[: first_rise - 1])
-        after = steps[first_rise - 1:]
-        assert after and all(risen and theta == theta_k for risen, theta_k, theta in after)
-        assert all(0.0 < theta_k <= 1.0 for _, theta_k, _ in steps)
+        rose = history[1:-1] > history[:-2]
+        assert rose.any() and len(steps) == len(rose)
+        for (fall_back, theta_k, theta, quotient), r in zip(steps, rose):
+            assert fall_back == r
+            assert theta == (theta_k if r else quotient)
+        # the quotient resumes after the first rise
+        after = steps[int(np.flatnonzero(rose)[0]) + 1:]
+        assert any(theta != theta_k for _, theta_k, theta, _ in after)
+        assert all(0.0 < theta_k <= 1.0 for _, theta_k, _, _ in steps)
+
+    def test_rises_cost_one_step_each(self):
+        # with theta_k kept for good after a rise, six of these draws took 37-56 updates
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            mats = [rand_spd(rng, 5, 1e-2, 1e2) for _ in range(4)]
+            res = barycenter_riemannian(mats, [0.4, 0.3, 0.2, 0.1])
+            assert res.converged and res.iterations <= 30, seed
 
     def test_eigh_calls_per_update(self, monkeypatch):
         # one for X^{1/2} and X^{-1/2}, one log per layer, one exp
@@ -466,6 +493,85 @@ class TestWassersteinBarycenter:
         assert moved.labels == tuple(base.labels[i] for i in perm)
         assert moved.iterations == base.iterations
         assert np.abs(moved.matrix - base.matrix[np.ix_(perm, perm)]).max() <= 1e-12
+
+
+class TestWassersteinStep:
+    def test_pd_step_cap(self):
+        # (1 - 1/2) / (1 - lambda_min(T)), never below 1, none once lambda_min(T) >= 1
+        assert sma._pd_step_cap(np.diag([0.9, 1.1])) == pytest.approx(5.0, rel=1e-12)
+        assert sma._pd_step_cap(np.diag([0.2, 1.5])) == 1.0
+        assert sma._pd_step_cap(np.diag([1.0, 2.0])) == np.inf
+        rng = np.random.default_rng(22)
+        for _ in range(50):
+            t = rand_spd(rng, 6, 0.3, 3.0)
+            cap = sma._pd_step_cap(t)
+            lam_min = np.linalg.eigvalsh(np.eye(6) + cap * (t - np.eye(6)))[0]
+            bound = sma.PD_MARGIN if cap > 1.0 else np.linalg.eigvalsh(t)[0]
+            assert lam_min >= bound - 1e-12
+
+    def test_converges_at_n160(self):
+        # the fixed-point map (eta = 1) takes 22 updates here
+        mx = planted_rbf_multiplex(160, 2)
+        w = weights_rowsum(rv_matrix(mx))
+        res = barycenter_wasserstein(mx, w)
+        assert res.converged and res.iterations <= 16
+        reference = wasserstein_fixed_point_reference([layer.S for layer in mx.layers], w, iters=30)
+        assert np.abs(res.matrix - reference).max() <= 1e-10
+
+    def test_pd_clip_binds(self, monkeypatch):
+        # two ill-conditioned layers: the quotient asks for eta = 3 where lambda_min(T) = 0.33
+        quotients, capped, lowest = [], [], []
+        bb, cap_of, spectral = sma._bb_step, sma._pd_step_cap, sma.spectral_fns
+
+        def recording_bb(*args):
+            quotients.append(bb(*args))
+            return quotients[-1]
+
+        def recording_cap(t):
+            cap = cap_of(t)
+            if cap < quotients[-1]:
+                eye = np.eye(t.shape[0])
+                capped.append((np.linalg.eigvalsh(t)[0], np.linalg.eigvalsh(eye + cap * (t - eye))[0]))
+            return cap
+
+        def recording_spectral(m, *tags, **kwargs):
+            if "invsqrt" in tags:
+                lowest.append(np.linalg.eigvalsh(m)[0])
+            return spectral(m, *tags, **kwargs)
+
+        monkeypatch.setattr(sma, "_bb_step", recording_bb)
+        monkeypatch.setattr(sma, "_pd_step_cap", recording_cap)
+        monkeypatch.setattr(sma, "spectral_fns", recording_spectral)
+        rng = np.random.default_rng(14)
+        a, b = (rand_spd(rng, 4, 1e-3, 1e3) for _ in range(2))
+        w1, w2 = rng.dirichlet(np.ones(2))
+        res = barycenter_wasserstein([a, b], [w1, w2])
+        assert res.converged and res.residual <= BarycenterConfig().tol
+        assert fro_norm(res.matrix - wasserstein_mean_pair(a, b, w1, w2)) <= 1e-9
+        # every iterate is positive definite; a capped step leaves M's smallest
+        # eigenvalue at 1/2, or at lambda_min(T) when the cap is eta = 1
+        assert min(lowest) > 0.0 and len(lowest) == res.iterations + 1
+        assert any(lam_t < 0.5 for lam_t, _ in capped)
+        assert all(lam_m >= min(sma.PD_MARGIN, lam_t) - 1e-12 for lam_t, lam_m in capped)
+
+    def test_step_one_after_a_rise(self, monkeypatch):
+        steps = []
+        bb = sma._bb_step
+
+        def recording(step, lo, hi, prev_sq, prev_dot, fall_back):
+            steps.append((fall_back, bb(step, lo, hi, prev_sq, prev_dot, fall_back)))
+            return steps[-1][1]
+
+        monkeypatch.setattr(sma, "_bb_step", recording)
+        rng = np.random.default_rng(0)
+        mats = [rand_spd(rng, 5, 1e-3, 1e3) for _ in range(3)]
+        res = barycenter_wasserstein(mats, rng.dirichlet(np.ones(3)))
+        assert res.converged
+        history = np.array(res.residual_history)
+        rose = history[1:-1] > history[:-2]
+        assert rose.any() and [f for f, _ in steps] == list(rose)
+        assert all(eta == 1.0 for fall_back, eta in steps if fall_back)
+        assert any(eta > 1.0 for fall_back, eta in steps if not fall_back)
 
 
 class TestSolveBarycenter:

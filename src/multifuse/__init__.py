@@ -22,7 +22,6 @@ from .matcore import (
     EigenPair,
     eig_floor,
     fro_norm,
-    frobenius_inner,
     sym_eigen,
     sym_matrix,
 )

@@ -20,7 +20,6 @@ __all__ = [
     "sym_matrix",
     "sym_eigen",
     "spectral_fns",
-    "frobenius_inner",
     "fro_norm",
     "eig_floor",
     "sq_distances",
@@ -30,10 +29,6 @@ __all__ = [
 #: Relative floor below which an eigenvalue is treated as zero in ``log`` and
 #: ``invsqrt`` (scaled by max(1, trace/n)).
 EIG_FLOOR_REL = 1e-12
-
-#: How negative an eigenvalue may be (same scaling) before ``sqrt`` refuses to
-#: clip it to zero.  Covers roundoff on matrices that are PSD by construction.
-SQRT_CLIP_REL = 1e-8
 
 _SPECTRAL_MAPS = {
     "sqrt": lambda v: np.sqrt(np.clip(v, 0.0, None)),
@@ -96,9 +91,7 @@ def eig_floor(M) -> float:
     return EIG_FLOOR_REL * max(1.0, float(np.trace(m)) / n)
 
 
-def spectral_fns(
-    M: np.ndarray, *tags: str, clip: bool = False, extremes: bool = False
-) -> tuple:
+def spectral_fns(M: np.ndarray, *tags: str, extremes: bool = False) -> tuple:
     """Several functions of one symmetric matrix from a single ``eigh``.
 
     ``M`` is not validated: it must be a float array that is symmetric up
@@ -107,11 +100,9 @@ def spectral_fns(
     matrix ``V f(L) V.T`` per tag, in the order given, followed, when
     ``extremes`` is set, by the pair ``(smallest, largest)`` eigenvalue.
 
-    Checks, made once on the smallest eigenvalue: ``log`` and ``invsqrt``
-    need it at or above the positivity floor ``1e-12 * max(1, trace/n)``;
-    ``sqrt`` clips negative eigenvalues to zero and, unless ``clip`` is set,
-    first refuses any below ``-1e-8 * max(1, trace/n)``; ``exp`` needs
-    nothing.
+    ``log`` and ``invsqrt`` need the smallest eigenvalue at or above
+    ``eig_floor(M)``; ``sqrt`` clips negative eigenvalues to zero; ``exp``
+    needs nothing.
 
     Raises
     ------
@@ -120,7 +111,7 @@ def spectral_fns(
     InvalidInput
         When the spectrum is not finite (a NaN or infinite entry in ``M``).
     SingularMatrix
-        When a check above fails.
+        When ``log`` or ``invsqrt`` meets an eigenvalue below the floor.
     """
     for f in tags:
         if f not in MATRIX_FUNCTIONS:
@@ -129,14 +120,12 @@ def spectral_fns(
     if not np.isfinite(values).all():
         raise InvalidInput("matrix has a non-finite spectrum")
     lowest = float(values[0])
-    scale = max(1.0, float(values.sum()) / values.shape[0])
-    floor = EIG_FLOOR_REL * scale
-    if ("log" in tags or "invsqrt" in tags) and lowest < floor:
-        raise SingularMatrix(
-            f"{'/'.join(tags)} needs eigenvalues >= {floor:.3e}; got {lowest:.3e}"
-        )
-    if "sqrt" in tags and not clip and lowest < -SQRT_CLIP_REL * scale:
-        raise SingularMatrix(f"sqrt needs a PSD matrix; min eigenvalue {lowest:.3e}")
+    if "log" in tags or "invsqrt" in tags:
+        floor = eig_floor(M)
+        if lowest < floor:
+            raise SingularMatrix(
+                f"{'/'.join(tags)} needs eigenvalues >= {floor:.3e}; got {lowest:.3e}"
+            )
     out = []
     for f in tags:
         x = (vectors * _SPECTRAL_MAPS[f](values)) @ vectors.T
@@ -144,17 +133,6 @@ def spectral_fns(
     if extremes:
         out.append((lowest, float(values[-1])))
     return tuple(out)
-
-
-def frobenius_inner(X, Y) -> float:
-    """Frobenius inner product ``tr(X.T @ Y)`` of two same-order matrices."""
-    x = np.asarray(X, dtype=float)
-    y = np.asarray(Y, dtype=float)
-    if x.shape != y.shape or x.ndim != 2:
-        raise DimensionError(f"incompatible shapes {x.shape} and {y.shape}")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise InvalidInput("non-finite entries")
-    return float(np.sum(x * y))
 
 
 def fro_norm(X) -> float:

@@ -65,10 +65,6 @@ class FeatureTable:
             )
         self.rows = _lock(rows)
 
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
 
 @dataclass
 class SimilarityLayer:
@@ -147,14 +143,8 @@ class Multiplex:
     def m(self) -> int:
         return len(self.layers)
 
-    def __len__(self) -> int:
-        return len(self.layers)
-
     def __iter__(self):
         return iter(self.layers)
-
-    def __getitem__(self, i):
-        return self.layers[i]
 
 
 def auto_sigma(table: FeatureTable) -> float:

@@ -37,15 +37,7 @@ from .errors import (
     SingularMatrix,
     check_field_types,
 )
-from .matcore import (
-    SQRT_CLIP_REL,
-    eig_floor,
-    fro_norm,
-    frobenius_inner,
-    spectral_fns,
-    sym_eigen,
-    sym_matrix,
-)
+from .matcore import eig_floor, fro_norm, spectral_fns, sym_eigen, sym_matrix
 from .simbuild import layer_matrix
 from .snf import FusionResult, iterate
 
@@ -67,6 +59,10 @@ SPECTRAL_GAP_TOL = 1e-10
 
 WEIGHT_SUM_TOL = 1e-12
 
+#: How negative a layer's smallest eigenvalue may be, relative to max(1, trace/n),
+#: before a metric mean rejects it; covers roundoff on layers PSD by construction.
+PSD_TOL_REL = 1e-8
+
 #: Largest Barzilai-Borwein step of the Wasserstein update.
 WASSERSTEIN_STEP_MAX = 3.0
 
@@ -78,11 +74,13 @@ PD_MARGIN = 0.5
 class BarycenterConfig:
     """Settings of the iterative barycenter solvers.
 
-    ``jitter=None`` resolves to the solver's default: 1e-8 for the Riemannian
-    metric (whose machinery needs strictly positive definite layers) and 0
-    for the Wasserstein metric.  A positive jitter adds
-    ``jitter * (trace/n) * I`` to any layer whose smallest eigenvalue sits
-    below the positivity floor.
+    Both metric means need positive semidefinite layers: a layer whose
+    smallest eigenvalue lies below ``-PSD_TOL_REL * max(1, trace/n)`` raises
+    ``InvalidInput``, whatever the jitter.  ``jitter=None`` resolves to the
+    solver's default: 1e-8 for the Riemannian metric (whose machinery needs
+    strictly positive definite layers) and 0 for the Wasserstein metric.  A
+    positive jitter adds ``jitter * (trace/n) * I`` to any PSD layer whose
+    smallest eigenvalue sits below the positivity floor ``eig_floor``.
     """
 
     tol: float = 1e-10
@@ -156,7 +154,7 @@ def rv_matrix(layers) -> np.ndarray:
     r = np.ones((m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            val = frobenius_inner(mats[i], mats[j]) / (norms[i] * norms[j])
+            val = float(np.sum(mats[i] * mats[j])) / (norms[i] * norms[j])
             r[i, j] = r[j, i] = min(val, 1.0)
     return r
 
@@ -171,8 +169,8 @@ def _check_rv(R) -> np.ndarray:
 def weights_frobenius(R) -> np.ndarray:
     """Leading-eigenvector weights for the arithmetic (Frobenius) mean.
 
-    The first eigenvector of the RV matrix is sign-fixed so its component
-    sum is positive, then rescaled to sum to one.
+    The first eigenvector of the RV matrix is divided by its component sum,
+    which rescales it to sum to one whatever its sign.
 
     Raises
     ------
@@ -190,9 +188,6 @@ def weights_frobenius(R) -> np.ndarray:
     total = float(q1.sum())
     if total == 0.0:
         raise InvalidInput("leading eigenvector has zero component sum")
-    if total < 0:
-        q1 = -q1
-        total = -total
     w = q1 / total
     if w.min() < -SPECTRAL_GAP_TOL:
         raise InvalidInput(
@@ -219,16 +214,16 @@ def weights_rowsum(R) -> np.ndarray:
 
 
 def _prepare_pd(mats: list[np.ndarray], jitter: float, require_pd: bool) -> list[np.ndarray]:
-    """Ensure layers meet the definiteness needs of a metric solver."""
+    """The layers, jittered where needed: each must be PSD up to ``PSD_TOL_REL``
+    before any jitter and, with ``require_pd``, at or above the floor after it."""
     out = []
     for idx, m in enumerate(mats):
-        floor = eig_floor(m)
         n = m.shape[0]
         scale = float(np.trace(m)) / n
         lam_min = float(np.linalg.eigvalsh(m).min())
-        if lam_min < -SQRT_CLIP_REL * max(1.0, scale) and not require_pd:
-            # Wasserstein tolerates semidefinite layers but not indefinite ones.
+        if lam_min < -PSD_TOL_REL * max(1.0, scale):
             raise InvalidInput(f"layer {idx} is not positive semidefinite")
+        floor = eig_floor(m)
         if lam_min < floor and jitter > 0:
             # adding c*I shifts every eigenvalue by exactly c
             m = m + jitter * scale * np.eye(n)
@@ -384,7 +379,7 @@ def barycenter_wasserstein(layers, w, cfg: BarycenterConfig | None = None) -> Fu
             xs, xis = spectral_fns(x, "sqrt", "invsqrt")
             mean_root = np.zeros_like(x)
             for wl, s in zip(w, mats):
-                mean_root += wl * spectral_fns(xs @ s @ xs, "sqrt", clip=True)[0]
+                mean_root += wl * spectral_fns(xs @ s @ xs, "sqrt")[0]
             residual = fro_norm(x - mean_root)
             yield residual, x
             t = xis @ mean_root @ xis

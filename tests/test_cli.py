@@ -177,10 +177,15 @@ class TestFuse:
         assert code == 3
 
 
-    @pytest.mark.parametrize("extra", [[], ["--jitter", "1e-8"]], ids=["no-jitter", "jitter"])
-    def test_one_site_layers_fuse_with_sma_w(self, tmp_path, extra):
-        # one site per layer makes every RBF layer numerically singular; the
-        # Wasserstein iterate must stay positive semidefinite all the same
+    @pytest.mark.parametrize(
+        "method, extra",
+        [("sma-w", []), ("sma-w", ["--jitter", "1e-8"]), ("sma-r", []), ("sma-r", ["--jitter", "1e-8"])],
+        ids=["no-jitter", "jitter", "sma-r-no-jitter", "sma-r-jitter"],
+    )
+    def test_one_site_layers_fuse_with_sma_w(self, tmp_path, method, extra):
+        # one site per layer makes every RBF layer numerically singular, with
+        # eigenvalues a roundoff below zero: both metric means must accept the
+        # layers, and their result must stay positive semidefinite
         rng = np.random.default_rng(5)
         paths = []
         for k in range(1, 10):
@@ -190,8 +195,9 @@ class TestFuse:
             path.write_text("entity,site\n" + "".join(f"e{i:02d},{float(x)!r}\n" for i, x in enumerate(v)))
             paths.append(str(path))
         out = tmp_path / "out"
-        assert main(["fuse", "--method", "sma-w", "--inputs", *paths, *extra, "--out", str(out)]) == 0
-        s = load_similarity_csv(out / "monoplex_sma-wasserstein.csv").S
+        assert main(["fuse", "--method", method, "--inputs", *paths, *extra, "--out", str(out)]) == 0
+        (monoplex,) = out.glob("monoplex_*.csv")
+        s = load_similarity_csv(monoplex).S
         assert np.isfinite(s).all()
         assert np.linalg.eigvalsh(s)[0] >= 0.0
 

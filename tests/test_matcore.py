@@ -11,7 +11,6 @@ from multifuse.matcore import (
     MATRIX_FUNCTIONS,
     eig_floor,
     fro_norm,
-    frobenius_inner,
     spectral_fns,
     sq_distances,
     sym_eigen,
@@ -128,10 +127,6 @@ class TestMatFn:
         with pytest.raises(SingularMatrix):
             mat_fn(np.diag([1.0, 1e-15]), "invsqrt")
 
-    def test_sqrt_indefinite_raises(self):
-        with pytest.raises(SingularMatrix):
-            mat_fn(np.diag([1.0, -1.0]), "sqrt")
-
     def test_unknown_tag(self):
         with pytest.raises(InvalidParameter):
             mat_fn(np.eye(2), "cube")
@@ -152,9 +147,7 @@ class TestMatFn:
     def test_spectral_fns_checks(self):
         with pytest.raises(SingularMatrix):
             spectral_fns(np.diag([1.0, 0.0]), "sqrt", "invsqrt")
-        with pytest.raises(SingularMatrix):
-            spectral_fns(np.diag([1.0, -1.0]), "sqrt")
-        (root,) = spectral_fns(np.diag([4.0, -1.0]), "sqrt", clip=True)
+        (root,) = spectral_fns(np.diag([4.0, -1.0]), "sqrt")
         assert np.array_equal(root, np.diag([2.0, 0.0]))
         assert np.allclose(spectral_fns(np.diag([-50.0, 1.0]), "exp")[0], np.diag(np.exp([-50.0, 1.0])))
 
@@ -171,37 +164,7 @@ class TestMatFn:
         m[1, 0] = m[0, 1] = bad
         for tags in TAG_SETS:
             with pytest.raises(InvalidInput):
-                spectral_fns(m, *tags, clip=True)
-
-
-class TestFrobeniusInner:
-    def test_identity(self):
-        assert frobenius_inner(np.eye(2), np.eye(2)) == 2.0
-
-    def test_diagonal(self):
-        assert frobenius_inner(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])) == 11.0
-
-    def test_zero(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((3, 3))
-        assert frobenius_inner(x, np.zeros((3, 3))) == 0.0
-
-    def test_symmetric_in_arguments(self):
-        rng = np.random.default_rng(5)
-        x, y = rng.standard_normal((2, 4, 4))
-        assert frobenius_inner(x, y) == frobenius_inner(y, x)
-
-    def test_self_inner_is_squared_norm(self):
-        rng = np.random.default_rng(6)
-        for _ in range(100):
-            x = rng.standard_normal((5, 5))
-            val = frobenius_inner(x, x)
-            assert val >= 0.0
-            assert np.isclose(val, fro_norm(x) ** 2)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            frobenius_inner(np.eye(2), np.eye(3))
+                spectral_fns(m, *tags)
 
 
 def test_eig_floor_scales_with_trace():

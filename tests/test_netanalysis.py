@@ -351,6 +351,10 @@ class TestTypes:
         with pytest.raises(InvalidInput):
             Partition(("a", "b"), np.array([0, 2]), 0.0)
 
+    def test_partition_needs_one_index_per_label(self):
+        with pytest.raises(InvalidInput, match="one community index per label"):
+            Partition(("a", "b"), [0], 0.0)
+
     def test_correlation_table_validation(self):
         with pytest.raises(InvalidInput):
             CorrelationTable(("a", "b"), np.array([[1.0, 0.5], [0.4, 1.0]]))

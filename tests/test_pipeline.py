@@ -262,6 +262,11 @@ class TestFormatting:
         assert "0.10000000000000001" in text
         assert json.loads(text) == {"x": 0.1, "y": [1, True, None, "s"]}
 
+    def test_json_empty_list_and_unserializable_value(self):
+        assert dumps_json17([]) == "[]"
+        with pytest.raises(InvalidInput, match="cannot serialize object"):
+            dumps_json17({"x": object()})
+
 
 class TestMatrixCsv:
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -631,6 +636,13 @@ class TestConcurrentFusion:
 
     def paths(self):
         return tuple(sorted(str(p) for p in DATA.glob("*.csv")))
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(pipeline.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 3)
+        assert pipeline._cpu_count() == 3
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: None)
+        assert pipeline._cpu_count() == 1
 
     @pytest.fixture
     def four_cpus(self, monkeypatch):

@@ -28,6 +28,11 @@ class TestTypes:
         with pytest.raises(InvalidInput):
             FeatureTable(("a",), np.zeros((2, 1)))
 
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (0, 2)])
+    def test_feature_table_rejects_bad_shapes(self, shape):
+        with pytest.raises(InvalidInput, match=r"must be \(n, p\) with n,p >= 1"):
+            FeatureTable(("a",) * shape[0], np.zeros(shape))
+
     def test_feature_table_scalar_rows_become_one_column(self):
         assert FeatureTable(("a", "b"), [1.0, 2.0]).rows.tolist() == [[1.0], [2.0]]
 

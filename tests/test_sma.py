@@ -81,6 +81,12 @@ class TestRvMatrix:
         with pytest.raises(InvalidInput, match="at least two layers"):
             rv_matrix([np.eye(2)])
 
+    def test_no_layers_rejected(self):
+        with pytest.raises(InvalidInput, match="need at least one layer"):
+            rv_matrix([])
+        with pytest.raises(InvalidInput, match="need at least one layer"):
+            barycenter_frobenius([], [])
+
     def test_bare_arrays_are_symmetrised(self):
         a = np.array([[1.0, 0.9, 0.0], [0.1, 1.0, 0.4], [0.2, 0.6, 1.0]])
         assert np.array_equal(rv_matrix([a, a.T]), np.ones((2, 2)))
@@ -168,6 +174,21 @@ class TestWeights:
     def test_frobenius_degenerate_spectrum(self):
         with pytest.raises(DegenerateSpectrum):
             weights_frobenius(np.eye(3))
+
+    @pytest.mark.parametrize("weights", [weights_frobenius, weights_rowsum])
+    def test_one_layer_rejected(self, weights):
+        with pytest.raises(InvalidInput, match="need at least two layers"):
+            weights([[1.0]])
+
+    def test_frobenius_zero_component_sum(self):
+        with pytest.raises(InvalidInput, match="zero component sum"):
+            weights_frobenius([[1.0, -0.5], [-0.5, 1.0]])
+
+    def test_frobenius_negative_weights(self):
+        # the leading eigenvector's sum is negative, so the division flips its sign
+        r = [[1.0, -0.9, -0.9], [-0.9, 1.0, 0.5], [-0.9, 0.5, 1.0]]
+        with pytest.raises(InvalidInput, match=r"negative weights \(min -1\.391e\+00\)"):
+            weights_frobenius(r)
 
     def test_rowsum_identical_layers_uniform(self):
         w = weights_rowsum(np.ones((5, 5)))
@@ -606,6 +627,14 @@ class TestSolveBarycenter:
     def test_unknown_metric_raises(self):
         with pytest.raises(InvalidParameter):
             solve_barycenter([np.eye(2), np.eye(2)], [0.5, 0.5], "euclidean")
+
+    @pytest.mark.parametrize("jitter", [None, 0.0, 4.0])
+    @pytest.mark.parametrize("metric", ["riemannian", "wasserstein"])
+    def test_non_psd_layer_rejected_by_both_means(self, metric, jitter):
+        # checked before any jitter, which would otherwise shift the layer to PD
+        layers = [np.diag([1.0, -0.5]), np.eye(2)]
+        with pytest.raises(InvalidInput, match="layer 0 is not positive semidefinite"):
+            solve_barycenter(layers, [0.5, 0.5], metric, BarycenterConfig(jitter=jitter))
 
 
 class TestOrderings:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from multifuse.errors import DimensionError, InvalidInput, InvalidParameter
-from multifuse.simbuild import Multiplex, SimilarityLayer
+from multifuse.simbuild import FeatureTable, Multiplex, SimilarityLayer, rbf_similarity
 from multifuse.snf import (
     SnfConfig,
     cdp_step,
@@ -29,6 +29,21 @@ FIX_S3 = np.array([[1.0, 0.5, 0.4], [0.5, 1.0, 0.6], [0.4, 0.6, 1.0]])
 def layer(mat, labels=None):
     labels = labels or tuple(f"n{i}" for i in range(np.shape(mat)[0]))
     return SimilarityLayer(labels, mat)
+
+
+@st.composite
+def seeded_rbf_multiplexes(draw):
+    """2 to 6 RBF layers over 3 to 30 nodes, each with 1 to 20 uniform sites.
+
+    The rows come from one drawn seed.
+    """
+    n, m = draw(st.integers(3, 30)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = tuple(f"n{i}" for i in range(n))
+    return Multiplex(tuple(
+        rbf_similarity(FeatureTable(labels, rng.uniform(0.0, 10.0, (n, draw(st.integers(1, 20))))))
+        for _ in range(m)
+    ))
 
 
 def fixture_multiplex():
@@ -269,23 +284,15 @@ class TestSnfFuse:
             res = snf_fuse(Multiplex(tuple(mats)), SnfConfig(epsilon=1e-6, max_iter=200))
             assert res.converged and res.residual < 1e-6
 
-    def test_permutation_equivariance(self):
-        rng = np.random.default_rng(4)
-        n = 6
-        mats = []
-        for _ in range(3):
-            s = rng.uniform(0.0, 1.0, (n, n))
-            s = (s + s.T) / 2
-            np.fill_diagonal(s, 1.0)
-            mats.append(s)
-        labels = tuple(f"n{i}" for i in range(n))
-        perm = rng.permutation(n)
-        plabels = tuple(labels[i] for i in perm)
-
-        base = snf_fuse(Multiplex(tuple(layer(s, labels) for s in mats)))
+    @settings(max_examples=100, deadline=None)
+    @given(seeded_rbf_multiplexes(), st.data())
+    def test_permutation_equivariance(self, multiplex, data):
+        perm = data.draw(st.permutations(range(multiplex.n)))
+        base = snf_fuse(multiplex)
         permuted = snf_fuse(
-            Multiplex(tuple(layer(s[np.ix_(perm, perm)], plabels) for s in mats))
+            Multiplex(tuple(layer(lay.S[np.ix_(perm, perm)], tuple(lay.labels[i] for i in perm)) for lay in multiplex))
         )
+        assert permuted.iterations == base.iterations
         assert np.abs(permuted.matrix - base.matrix[np.ix_(perm, perm)]).max() <= 1e-12
 
     def test_default_k(self):

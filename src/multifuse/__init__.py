@@ -54,7 +54,6 @@ from .sma import (
     weights_rowsum,
 )
 from .netanalysis import (
-    CorrelationTable,
     Partition,
     correlation_table,
     distance_correlation,

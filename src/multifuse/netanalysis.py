@@ -16,11 +16,10 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInput, InvalidParameter
 from .matcore import sq_distances
-from .simbuild import layer_matrix
+from .simbuild import SimilarityLayer, layer_matrix
 
 __all__ = [
     "Partition",
-    "CorrelationTable",
     "CenteredDistances",
     "centered_distances",
     "distance_correlation",
@@ -53,27 +52,6 @@ class Partition:
     @property
     def n_communities(self) -> int:
         return int(self.community.max()) + 1
-
-
-@dataclass
-class CorrelationTable:
-    """Symmetric table of distance correlations between named networks."""
-
-    names: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.names = tuple(str(x) for x in self.names)
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (len(self.names), len(self.names)):
-            raise DimensionError("one row/column per name required")
-        if not np.array_equal(v, v.T):
-            raise InvalidInput("correlation table must be symmetric")
-        if np.abs(np.diag(v) - 1.0).max() > 1e-12:
-            raise InvalidInput("correlation table diagonal must be 1")
-        if v.min() < 0.0 or v.max() > 1.0:
-            raise InvalidInput("correlations must lie in [0, 1]")
-        self.values = v
 
 
 def _double_center(d: np.ndarray) -> np.ndarray:
@@ -132,10 +110,13 @@ def distance_correlation(A, B) -> float:
     return float(min(np.sqrt(dcor2), 1.0))
 
 
-def correlation_table(names, networks) -> CorrelationTable:
-    """Pairwise distance correlations between several networks, each centered once."""
+def correlation_table(names, networks) -> SimilarityLayer:
+    """Pairwise distance correlations between several networks, each centered once.
+
+    The table is a ``SimilarityLayer`` over ``names``, with a unit diagonal,
+    so it can be clustered, exported and written like any network.
+    """
     nets = [centered_distances(x) for x in networks]
-    names = tuple(str(x) for x in names)
     if len(names) != len(nets):
         raise InvalidInput("one name per network required")
     k = len(nets)
@@ -143,7 +124,7 @@ def correlation_table(names, networks) -> CorrelationTable:
     for i in range(k):
         for j in range(i + 1, k):
             v[i, j] = v[j, i] = distance_correlation(nets[i], nets[j])
-    return CorrelationTable(names, v)
+    return SimilarityLayer(names, v)
 
 
 def _graph_weights(S) -> tuple[tuple[str, ...], np.ndarray]:

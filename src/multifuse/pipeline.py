@@ -34,7 +34,6 @@ from .errors import (
     check_field_types,
 )
 from .netanalysis import (
-    CorrelationTable,
     Partition,
     centered_distances,
     correlation_table,
@@ -396,7 +395,7 @@ class RunReport:
     weight_tables: dict[str, np.ndarray]
     fusion: dict[str, FusionResult]
     monoplexes: dict[str, SimilarityLayer]
-    monoplex_dcor: CorrelationTable | None = None
+    monoplex_dcor: SimilarityLayer | None = None
     snf_layer_dcor: tuple[tuple[str, float], ...] = ()
     partitions: dict[str, Partition] = field(default_factory=dict)
 
@@ -415,8 +414,8 @@ class RunReport:
                 for name, r in self.fusion.items()
             },
             "monoplex_dcor": {
-                "names": list(self.monoplex_dcor.names),
-                "values": [list(row) for row in self.monoplex_dcor.values],
+                "names": list(self.monoplex_dcor.labels),
+                "values": [list(row) for row in self.monoplex_dcor.S],
             },
             "snf_vs_layer_dcor": {name: val for name, val in self.snf_layer_dcor},
             "partitions": {
@@ -762,9 +761,7 @@ def _write_artifacts(out_dir: Path, report: RunReport, threshold: float):
     _write_text(out_dir / "weights.csv", _csv_text(wrows))
 
     write_similarity_csv(
-        out_dir / "dcor_monoplexes.csv",
-        report.monoplex_dcor.names,
-        report.monoplex_dcor.values,
+        out_dir / "dcor_monoplexes.csv", report.monoplex_dcor.labels, report.monoplex_dcor.S
     )
 
     if report.snf_layer_dcor:

@@ -180,7 +180,7 @@ def weights_frobenius(R) -> np.ndarray:
     """
     r = _check_rv(R)
     values, vectors = sym_eigen(r)
-    if values.shape[0] > 1 and values[0] - values[1] < SPECTRAL_GAP_TOL:
+    if values[0] - values[1] < SPECTRAL_GAP_TOL:
         raise DegenerateSpectrum(
             f"leading RV eigenvalue is not simple (gap {values[0] - values[1]:.3e})"
         )

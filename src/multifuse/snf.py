@@ -187,12 +187,9 @@ def _reweight(fused: np.ndarray) -> np.ndarray:
     [0, 1], and the diagonal is set to one.
     """
     s = fused.copy()
-    n = s.shape[0]
-    if n > 1:
-        off = s[~np.eye(n, dtype=bool)]
-        top = float(off.max())
-        if top > 0:
-            s = s / top
+    top = float(s[~np.eye(s.shape[0], dtype=bool)].max())
+    if top > 0:
+        s = s / top
     s = np.clip(s, 0.0, 1.0)
     np.fill_diagonal(s, 1.0)
     return s

@@ -286,17 +286,17 @@ def test_c10_pipeline_regression(tmp_path):
     assert len(report_a.fusion) == 4
     assert all(r.converged for r in report_a.fusion.values())
     table = report_a.monoplex_dcor
-    assert table.values.shape == (4, 4)
-    assert np.array_equal(table.values, table.values.T)
-    assert np.abs(np.diag(table.values) - 1.0).max() <= 1e-12
+    assert table.S.shape == (4, 4)
+    assert np.array_equal(table.S, table.S.T)
+    assert np.abs(np.diag(table.S) - 1.0).max() <= 1e-12
     assert len(report_a.snf_layer_dcor) == 9
     assert all(0.0 <= v <= 1.0 for _, v in report_a.snf_layer_dcor)
 
     # regression canaries frozen from the first validated run
-    names = table.names
+    names = table.labels
     i_snf, i_f, i_w = names.index("snf"), names.index("sma-frobenius"), names.index("sma-wasserstein")
-    assert abs(table.values[i_snf, i_f] - 0.9801365703268942) <= 1e-6
-    assert abs(table.values[i_f, i_w] - 0.9992047243532995) <= 1e-6
+    assert abs(table.S[i_snf, i_f] - 0.9801365703268942) <= 1e-6
+    assert abs(table.S[i_f, i_w] - 0.9992047243532995) <= 1e-6
     assert abs(report_a.weight_tables["frobenius"][0] - 0.1107276001036403) <= 1e-6
 
     # the three barycenter monoplexes recover the planted two groups

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from multifuse import netanalysis
 from multifuse.errors import DimensionError, InvalidInput, InvalidParameter
 from multifuse.netanalysis import (
-    CorrelationTable,
     Partition,
     centered_distances,
     correlation_table,
@@ -149,11 +148,11 @@ class TestDistanceCorrelation:
             for j in range(4):
                 if i != j:
                     value = distance_correlation(nets[i], nets[j])
-                    assert table.values[i, j] == value
+                    assert table.S[i, j] == value
                     assert distance_correlation(centered[i], nets[j]) == value
                     assert distance_correlation(centered[i], centered[j]) == value
         assert centered_distances(centered[0]) is centered[0]
-        assert correlation_table("wxyz", centered).values.tolist() == table.values.tolist()
+        assert correlation_table("wxyz", centered).S.tolist() == table.S.tolist()
 
     def test_centered_keeps_the_label_check(self):
         a = centered_distances(SimilarityLayer(("a", "b"), np.eye(2)))
@@ -164,13 +163,19 @@ class TestDistanceCorrelation:
         rng = np.random.default_rng(5)
         nets = [rand_similarity(rng, 5) for _ in range(4)]
         table = correlation_table(("w", "x", "y", "z"), nets)
-        assert table.names == ("w", "x", "y", "z")
-        assert np.array_equal(table.values, table.values.T)
-        assert np.abs(np.diag(table.values) - 1.0).max() <= 1e-12
+        assert table.labels == ("w", "x", "y", "z")
+        assert np.array_equal(table.S, table.S.T)
+        assert np.abs(np.diag(table.S) - 1.0).max() <= 1e-12
 
     def test_table_needs_one_name_per_network(self):
         with pytest.raises(InvalidInput, match="one name per network"):
             correlation_table(("w",), [np.eye(3), np.eye(3)])
+
+    def test_table_names_must_be_distinct(self):
+        rng = np.random.default_rng(8)
+        a, b = rand_similarity(rng, 4), rand_similarity(rng, 4)
+        with pytest.raises(InvalidInput, match="duplicate node label 'w'"):
+            correlation_table(("w", "w"), [a, b])
 
     def test_memory_is_quadratic(self):
         # n^3 difference temporaries would take 8 * 300^3 bytes = 216 MB
@@ -354,13 +359,3 @@ class TestTypes:
     def test_partition_needs_one_index_per_label(self):
         with pytest.raises(InvalidInput, match="one community index per label"):
             Partition(("a", "b"), [0], 0.0)
-
-    def test_correlation_table_validation(self):
-        with pytest.raises(InvalidInput):
-            CorrelationTable(("a", "b"), np.array([[1.0, 0.5], [0.4, 1.0]]))
-        with pytest.raises(InvalidInput):
-            CorrelationTable(("a", "b"), np.array([[0.9, 0.5], [0.5, 1.0]]))
-        with pytest.raises(InvalidInput, match=r"lie in \[0, 1\]"):
-            CorrelationTable(("a", "b"), np.array([[1.0, 1.5], [1.5, 1.0]]))
-        with pytest.raises(DimensionError):
-            CorrelationTable(("a", "b"), np.eye(3))

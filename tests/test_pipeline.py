@@ -20,7 +20,7 @@ from multifuse.errors import (
     ParseError,
     SingularMatrix,
 )
-from multifuse.netanalysis import Partition
+from multifuse.netanalysis import Partition, louvain_communities
 from multifuse.pipeline import (
     WEIGHT_MODES,
     PipelineConfig,
@@ -438,16 +438,22 @@ class TestRunPipeline:
         return tuple(sorted(str(p) for p in DATA.glob("*.csv")))
 
     def test_small_run_report_shapes(self, tmp_path):
-        cfg = PipelineConfig(
-            inputs=self.paths()[:3], output_dir=str(tmp_path / "out"), seed=1
-        )
-        report = run_pipeline(cfg)
+        out = tmp_path / "out"
+        report = run_pipeline(PipelineConfig(inputs=self.paths()[:3], output_dir=str(out), seed=1))
         assert len(report.fusion) == 4
-        assert report.monoplex_dcor.values.shape == (4, 4)
+        assert report.monoplex_dcor.S.shape == (4, 4)
         assert len(report.snf_layer_dcor) == 3
         assert set(report.partitions) == set(report.fusion)
         for _, v in report.snf_layer_dcor:
             assert 0.0 <= v <= 1.0
+        # the dcor artifact is the table, and the table is a network like any other
+        table = report.monoplex_dcor
+        read = load_similarity_csv(out / "dcor_monoplexes.csv")
+        assert read.labels == table.labels == tuple(report.fusion)
+        assert np.array_equal(read.S, table.S)
+        assert louvain_communities(table).labels == table.labels
+        export_graph(table, None, "edge-list", tmp_path / "dcor_edges.csv")
+        assert (tmp_path / "dcor_edges.csv").read_text().startswith("source,target,weight\n")
 
     def test_uniform_weights_mode(self, tmp_path):
         cfg = PipelineConfig(

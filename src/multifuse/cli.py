@@ -141,7 +141,7 @@ def _cmd_fuse(args) -> int:
 
     out = Path(cfg.output_dir)
     with stage("write"):
-        write_similarity_csv(out / f"monoplex_{method}.csv", layer.labels, layer.S)
+        write_similarity_csv(out / f"monoplex_{method}.csv", layer)
         summary = {"method": method, "layers": list(report.multiplex.names),
                    "rbf_sigma": report.sigmas, **result.outcome()}
         _write_text(out / "fuse_report.json", dumps_json17(summary) + "\n")

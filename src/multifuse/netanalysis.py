@@ -197,6 +197,8 @@ def louvain_communities(S, resolution: float = 1.0, seed: int = 0) -> Partition:
     Diagonal entries are excluded (self-similarity carries no relational
     information).  The node sweep order is drawn from a generator seeded
     with the nonnegative ``seed``, making the partition fully deterministic.
+    A network with no off-diagonal weight, such as a single node, puts
+    every node in its own community, with modularity 0.
     """
     if not 0 < resolution < math.inf:
         raise InvalidParameter(f"resolution must be positive and finite, got {resolution!r}")
@@ -204,7 +206,7 @@ def louvain_communities(S, resolution: float = 1.0, seed: int = 0) -> Partition:
         raise InvalidParameter(f"seed must be nonnegative, got {seed!r}")
     labels, w = _graph_weights(S)
     if w.sum() <= 0:
-        raise InvalidInput("graph has no positive off-diagonal weight")
+        return Partition(labels, np.arange(w.shape[0]), 0.0)
     rng = np.random.default_rng(seed)
     assign = np.arange(w.shape[0])
     graph = w

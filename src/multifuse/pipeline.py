@@ -13,10 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-import queue
 import re
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from itertools import compress
@@ -40,6 +37,7 @@ from .netanalysis import (
     distance_correlation,
     louvain_communities,
 )
+from .parallel import map_ordered
 from .simbuild import FeatureTable, Multiplex, SimilarityLayer, auto_sigma, rbf_similarity
 from .sma import (
     BarycenterConfig,
@@ -78,7 +76,7 @@ EXPORT_FORMATS = ("edge-list", "graphml", "csv-matrix")
 def fmt17(x: float) -> str:
     """Render a float with 17 significant digits (round-trip exact).
 
-    Adding 0.0 folds -0.0 into 0.0; ``_rows17`` applies the same rule to arrays.
+    Adding 0.0 folds -0.0 into 0.0; ``_upper17`` applies the same rule to arrays.
     """
     return "%.17g" % (float(x) + 0.0)
 
@@ -474,59 +472,33 @@ def stage(name: str):
         raise
 
 
-def _cpu_count() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _fuse_all(multiplex: Multiplex, cfg: PipelineConfig, tables) -> dict:
     """``fuse_method`` for each of ``cfg.methods``: its result, or the exception it raised.
 
-    The methods wait on one queue.  The calling thread drains it together
-    with ``min(len(cfg.methods), CPUs) - 1`` helper threads, so a
-    single-method run starts no thread.  The solvers spend their time in
-    LAPACK and BLAS calls, which release the interpreter lock.  Helpers are
-    daemon threads, so an interrupt of the caller need not wait for them.
+    The methods go through ``map_ordered``, so from ``MIN_THREADED_N``
+    nodes on they are fused on the calling thread and free helper threads,
+    and a solver whose per-layer maps find no free helper runs them inline.
     """
-    work = queue.SimpleQueue()
-    for method in cfg.methods:
-        work.put(method)
-    outcomes = {}
 
-    def drain():
-        while True:
-            try:
-                method = work.get_nowait()
-            except queue.Empty:
-                return
-            try:
-                outcomes[method] = fuse_method(multiplex, method, cfg, tables)
-            except Exception as exc:  # raised again by the caller, in config order
-                outcomes[method] = exc
+    def attempt(method):
+        try:
+            return fuse_method(multiplex, method, cfg, tables)
+        except Exception as exc:  # raised again by fuse_stages, in config order
+            return exc
 
-    helpers = [
-        threading.Thread(target=drain, name=f"multifuse-fuse-{i}", daemon=True)
-        for i in range(min(len(cfg.methods), _cpu_count()) - 1)
-    ]
-    for t in helpers:
-        t.start()
-    drain()
-    for t in helpers:
-        t.join()
-    return outcomes
+    return dict(zip(cfg.methods, map_ordered(attempt, cfg.methods, multiplex.n)))
 
 
 def fuse_stages(cfg: PipelineConfig) -> RunReport:
     """The stages ``run`` and ``fuse`` share: load, filter, similarity, weights, one per method.
 
-    The methods are fused concurrently, on up to min(methods, CPUs) threads
-    of which the calling thread is one; a single method is fused on the
-    calling thread alone.  Then each method's stage, in ``cfg.methods``
-    order, raises the error its fusion raised or views its result as a
-    layer, so the first method to fail in that order names the error, and
-    no result depends on thread scheduling.
+    From ``MIN_THREADED_N`` nodes on, the methods, and within each solver
+    the per-layer work, run on the calling thread and up to CPUs - 1 helper
+    threads in all (``map_ordered``); below it, and on one CPU, everything
+    runs on the calling thread.  Then each method's stage, in
+    ``cfg.methods`` order, raises the error its fusion raised or views its
+    result as a layer, so the first method to fail in that order names the
+    error, and no result depends on thread scheduling.
 
     Returns the run record up to the fusion results and monoplex layers,
     keyed by method; its dcor tables and partitions are still empty.
@@ -622,24 +594,32 @@ def _csv_text(rows) -> str:
     return "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
 
 
-def _rows17(values) -> tuple[str, list]:
-    """A ``%`` template for the last axis of ``values``, and ``values`` as lists.
+def _upper17(s: np.ndarray) -> np.ndarray:
+    """The entries ``s[i, j]`` with ``i <= j``, row by row, each as ``fmt17`` renders it."""
+    v = s[np.triu_indices(s.shape[0])] + 0.0
+    text = ",".join(["%.17g"] * v.size) % tuple(v.tolist())
+    return np.array(text.split(","), dtype=object)
 
-    ``template % tuple(row)`` joins a row's values with commas, each as
-    ``fmt17`` renders it.
+
+def write_similarity_csv(path, layer: SimilarityLayer) -> np.ndarray:
+    """Write ``layer`` as a labelled full-matrix CSV with 17-significant-digit values.
+
+    ``layer.S`` is exactly symmetric, so only its upper triangle, diagonal
+    included, is formatted, and each value is written in both of its cells.
+    Returns those texts (``_upper17``), from which ``_edges17`` takes the
+    edge weights without formatting them again.
     """
-    v = np.asarray(values, dtype=float) + 0.0
-    return ",".join(["%.17g"] * v.shape[-1]), v.tolist()
-
-
-def write_similarity_csv(path, labels, matrix):
-    """Labelled full-matrix CSV with 17-significant-digit values."""
-    fields = [_csv_field(str(lab)) for lab in labels]
-    template, rows = _rows17(matrix)
+    n = layer.n
+    upper = _upper17(layer.S)
+    cells = np.empty((n, n), dtype=object)
+    iu, ju = np.triu_indices(n)
+    cells[iu, ju] = upper
+    cells[ju, iu] = upper
+    fields = [_csv_field(lab) for lab in layer.labels]
     lines = [",".join(["", *fields])]
-    lines += [f"{lab},{template % tuple(row)}" for lab, row in zip(fields, rows)]
+    lines += [f"{lab},{','.join(row)}" for lab, row in zip(fields, cells.tolist())]
     _write_text(Path(path), "\n".join(lines) + "\n")
-    return Path(path)
+    return upper
 
 
 def load_similarity_csv(path) -> SimilarityLayer:
@@ -686,8 +666,9 @@ def export_graph(layer: SimilarityLayer, partition, fmt: str, path, threshold: f
         raise DimensionError("partition labels do not match the network")
 
     if fmt == "csv-matrix":
-        return write_similarity_csv(path, labels, s)
-    edges = _edges17(s, threshold)
+        write_similarity_csv(path, layer)
+        return path
+    edges = _edges17(s, _upper17(s), threshold)
     if fmt == "edge-list":
         _write_text(path, _edge_list_text(labels, edges))
     else:
@@ -695,14 +676,11 @@ def export_graph(layer: SimilarityLayer, partition, fmt: str, path, threshold: f
     return path
 
 
-def _edges17(s: np.ndarray, threshold: float) -> list[tuple[int, int, str]]:
-    """The pairs i < j with ``s[i, j] > threshold``, each weight as ``fmt17`` renders it."""
-    iu, ju = np.triu_indices(s.shape[0], 1)
-    w = s[iu, ju]
-    keep = w > threshold
-    template, kept = _rows17(w[keep])
-    weights = (template % tuple(kept)).split(",") if kept else []
-    return list(zip(iu[keep].tolist(), ju[keep].tolist(), weights))
+def _edges17(s: np.ndarray, upper: np.ndarray, threshold: float) -> list[tuple[int, int, str]]:
+    """The pairs i < j with ``s[i, j] > threshold``, each with its weight's text from ``upper``."""
+    iu, ju = np.triu_indices(s.shape[0])
+    keep = (iu < ju) & (s[iu, ju] > threshold)
+    return list(zip(iu[keep].tolist(), ju[keep].tolist(), upper[keep].tolist()))
 
 
 def _edge_list_text(labels, edges) -> str:
@@ -742,12 +720,12 @@ def _write_artifacts(out_dir: Path, report: RunReport, threshold: float):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     for name, lay in zip(report.multiplex.names, report.multiplex.layers):
-        write_similarity_csv(out_dir / "layers" / f"{name}.csv", lay.labels, lay.S)
+        write_similarity_csv(out_dir / "layers" / f"{name}.csv", lay)
 
     for name, lay in report.monoplexes.items():
-        write_similarity_csv(out_dir / f"monoplex_{name}.csv", lay.labels, lay.S)
-        # what export_graph writes for these two formats, from one formatting of the weights
-        edges = _edges17(lay.S, threshold)
+        upper = write_similarity_csv(out_dir / f"monoplex_{name}.csv", lay)
+        # what export_graph writes for these two formats, from the matrix CSV's texts
+        edges = _edges17(lay.S, upper, threshold)
         _write_text(out_dir / f"edges_{name}.csv", _edge_list_text(lay.labels, edges))
         _write_text(
             out_dir / f"graph_{name}.graphml",
@@ -760,9 +738,7 @@ def _write_artifacts(out_dir: Path, report: RunReport, threshold: float):
         wrows.append([name, *(fmt17(w[i]) for w in tables.values())])
     _write_text(out_dir / "weights.csv", _csv_text(wrows))
 
-    write_similarity_csv(
-        out_dir / "dcor_monoplexes.csv", report.monoplex_dcor.labels, report.monoplex_dcor.S
-    )
+    write_similarity_csv(out_dir / "dcor_monoplexes.csv", report.monoplex_dcor)
 
     if report.snf_layer_dcor:
         rows = [["layer", "dcor"]]

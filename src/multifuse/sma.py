@@ -38,6 +38,7 @@ from .errors import (
     check_field_types,
 )
 from .matcore import eig_floor, fro_norm, spectral_fns, sym_eigen, sym_matrix
+from .parallel import map_ordered
 from .simbuild import layer_matrix
 from .snf import FusionResult, iterate
 
@@ -297,21 +298,23 @@ def barycenter_riemannian(layers, w, cfg: BarycenterConfig | None = None) -> Fus
     ``[theta_k, 1]`` with ``theta_k`` the step of Bini and Iannazzo
     (``_bini_iannazzo_step``), which comes with a convergence proof.  The
     update right after a rise of the residual takes ``theta_k``; the next
-    one resumes the quotient.
+    one resumes the quotient.  The m ``log`` calls of an update go through
+    ``map_ordered`` and are added in layer order.
     """
     cfg = cfg or BarycenterConfig()
     labels, mats = _coerce_layers(layers)
     w = check_weights(w, len(mats))
     mats = _prepare_pd(mats, 1e-8 if cfg.jitter is None else cfg.jitter, require_pd=True)
+    n = mats[0].shape[0]
 
     def karcher(x):
         theta, prev = 1.0, None
         while True:
             xs, xis = spectral_fns(x, "sqrt", "invsqrt")
+            logs = map_ordered(lambda s: spectral_fns(xis @ s @ xis, "log", extremes=True), mats, n)
             tangent = np.zeros_like(x)
             conds = []
-            for wl, s in zip(w, mats):
-                log_s, (lo, hi) = spectral_fns(xis @ s @ xis, "log", extremes=True)
+            for wl, (log_s, (lo, hi)) in zip(w, logs):
                 tangent += wl * log_s
                 conds.append(hi / lo)
             residual = fro_norm(tangent)
@@ -365,21 +368,24 @@ def barycenter_wasserstein(layers, w, cfg: BarycenterConfig | None = None) -> Fu
     at the cost of one ``eigvalsh`` of ``T``, so that ``M``'s smallest
     eigenvalue stays at or above ``PD_MARGIN = 1/2``; at ``eta = 1``, ``M =
     T``.  Layers may be semidefinite as long as the iterate stays positive
-    definite.
+    definite.  The m square roots of an update go through ``map_ordered``
+    and are added in layer order.
     """
     cfg = cfg or BarycenterConfig()
     labels, mats = _coerce_layers(layers)
     w = check_weights(w, len(mats))
     mats = _prepare_pd(mats, cfg.jitter or 0.0, require_pd=False)
-    eye = np.eye(mats[0].shape[0])
+    n = mats[0].shape[0]
+    eye = np.eye(n)
 
     def bures_descent(x):
         eta, prev = 1.0, None
         while True:
             xs, xis = spectral_fns(x, "sqrt", "invsqrt")
+            roots = map_ordered(lambda s: spectral_fns(xs @ s @ xs, "sqrt")[0], mats, n)
             mean_root = np.zeros_like(x)
-            for wl, s in zip(w, mats):
-                mean_root += wl * spectral_fns(xs @ s @ xs, "sqrt")[0]
+            for wl, root in zip(w, roots):
+                mean_root += wl * root
             residual = fro_norm(x - mean_root)
             yield residual, x
             t = xis @ mean_root @ xis

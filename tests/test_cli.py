@@ -14,6 +14,8 @@ from multifuse import cli, pipeline
 from multifuse.cli import main
 from multifuse.errors import DegenerateSpectrum, MultifuseError
 from multifuse.pipeline import load_similarity_csv, write_similarity_csv
+from multifuse.simbuild import SimilarityLayer
+from oracles import similarity_csv_reference
 
 DATA = Path(__file__).parent / "data" / "synthetic"
 
@@ -25,7 +27,7 @@ def inputs(k=3):
 def matrix_csv(tmp_path, name, s, labels=None):
     labels = labels or tuple(f"n{i}" for i in range(np.shape(s)[0]))
     path = tmp_path / name
-    write_similarity_csv(path, labels, s)
+    write_similarity_csv(path, SimilarityLayer(labels, s))
     return str(path)
 
 
@@ -327,9 +329,20 @@ class TestCluster:
         assert captured.out == ""
         assert captured.err == f"error: {message.format(path=p)}\n"
 
-    def test_invalid_graph_exit_code(self, tmp_path):
+    def test_edgeless_graph_clusters_into_singletons(self, tmp_path, capsys):
         p = matrix_csv(tmp_path, "m.csv", np.eye(3))
-        assert main(["cluster", p]) == 2
+        assert main(["cluster", p]) == 0
+        assert capsys.readouterr().out == "label,community\nn0,0\nn1,1\nn2,2\n# modularity 0\n"
+
+    def test_one_method_dcor_table_clusters(self, tmp_path, capsys):
+        # a one-method run writes a 1 x 1 table of distance correlations
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"inputs": inputs(), "output_dir": str(out), "methods": ["snf"]}))
+        assert main(["run", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["cluster", str(out / "dcor_monoplexes.csv")]) == 0
+        assert capsys.readouterr().out == "label,community\nsnf,0\n# modularity 0\n"
 
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         p = matrix_csv(tmp_path, "m.csv", block_matrix())
@@ -411,7 +424,10 @@ class TestExport:
 
     @pytest.mark.parametrize("command", ["export", "cluster"])
     def test_repeated_label_exit_code(self, tmp_path, capsys, command):
-        p = matrix_csv(tmp_path, "m.csv", block_matrix(), ("a", "a", "b", "c", "d", "e"))
+        # no SimilarityLayer holds a repeated label, so the file is written as text
+        p = tmp_path / "m.csv"
+        p.write_text(similarity_csv_reference(("a", "a", "b", "c", "d", "e"), block_matrix()))
+        p = str(p)
         out = tmp_path / "g.graphml"
         args = {"export": ["--format", "graphml", "--out", str(out)], "cluster": []}[command]
         assert main([command, p, *args]) == 2

@@ -231,9 +231,14 @@ class TestLouvain:
             part = louvain_communities(s, seed=seed)
             assert part.modularity == modularity(s, part)
 
-    def test_empty_graph_rejected(self):
-        with pytest.raises(InvalidInput):
-            louvain_communities(np.eye(4))
+    def test_edgeless_graph_gives_singletons(self):
+        for n in (1, 2, 4):
+            labels = tuple(f"v{i}" for i in range(n))
+            part = louvain_communities(SimilarityLayer(labels, np.eye(n)), seed=3)
+            assert part.labels == labels
+            assert part.community.tolist() == list(range(n))
+            assert part.modularity == 0.0
+            assert modularity(np.eye(n), part.community) == 0.0
 
     def test_negative_weights_rejected(self):
         s = np.array([[0.0, -0.1], [-0.1, 0.0]])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multifuse import pipeline
+from multifuse import parallel, pipeline
 from multifuse.errors import (
     DegenerateSpectrum,
     DimensionError,
@@ -277,7 +277,7 @@ class TestMatrixCsv:
             np.fill_diagonal(s, 1.0)
             labels = tuple(f"n{j}" for j in range(5))
             path = tmp_path / f"m{i}.csv"
-            write_similarity_csv(path, labels, s)
+            write_similarity_csv(path, SimilarityLayer(labels, s))
             back = load_similarity_csv(path)
             assert back.labels == labels
             assert np.array_equal(back.S, s)
@@ -295,7 +295,7 @@ class TestMatrixCsv:
     def test_error_names_file_line_after_multiline_label(self, tmp_path):
         # the label "a\nb" spans two lines in the header and in its own row
         path = tmp_path / "m.csv"
-        write_similarity_csv(path, ("a\nb", "c"), np.array([[1.0, 0.5], [0.5, 1.0]]))
+        write_similarity_csv(path, SimilarityLayer(("a\nb", "c"), [[1.0, 0.5], [0.5, 1.0]]))
         text = path.read_text()
         assert text.splitlines()[4] == "c,0.5,1"
         path.write_text(text.replace("c,0.5,1", "c,0.5,x"))
@@ -363,15 +363,6 @@ def networks(draw):
     return labels, s, community, threshold
 
 
-@st.composite
-def labelled_matrices(draw):
-    """Labels and a square matrix of any finite values, -0.0 included."""
-    labels = draw(labels_st)
-    n = len(labels)
-    value = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(allow_nan=False, allow_infinity=False))
-    return labels, np.array(draw(st.lists(value, min_size=n * n, max_size=n * n))).reshape(n, n)
-
-
 class TestMatrixCsvRoundTrip:
     """Matrix CSVs read back every label and value they were written with."""
 
@@ -382,7 +373,7 @@ class TestMatrixCsvRoundTrip:
     def test_labels_and_values_roundtrip(self, tmp_path_factory, net):
         labels, s, _, _ = net
         path = tmp_path_factory.mktemp("m") / "m.csv"
-        write_similarity_csv(path, labels, s)
+        write_similarity_csv(path, SimilarityLayer(labels, s))
         back = load_similarity_csv(path)
         assert back.labels == tuple(labels)
         assert back.S.tobytes() == (s + 0.0).tobytes()  # bit-equal, -0.0 written as 0
@@ -399,13 +390,16 @@ class TestWritersMatchReference:
         assert path.read_bytes() == expected.encode("utf-8")
 
     @settings(deadline=None, max_examples=60)
-    @given(net=labelled_matrices())
-    @example(net=(["spü1"], np.array([[-0.0]])))
+    @given(net=networks())
+    @example(net=(["spü1"], np.array([[-0.0]]), None, 0.0))
     def test_similarity_csv(self, tmp_path_factory, net):
-        labels, m = net
+        labels, s, _, _ = net
+        layer = SimilarityLayer(labels, s)
         path = tmp_path_factory.mktemp("csv") / "m.csv"
-        write_similarity_csv(path, labels, m)
-        assert path.read_bytes() == similarity_csv_reference(labels, m).encode("utf-8")
+        upper = write_similarity_csv(path, layer)
+        assert path.read_bytes() == similarity_csv_reference(layer.labels, layer.S).encode("utf-8")
+        # the texts returned for the edge files are the upper triangle's, as fmt17 renders them
+        assert upper.tolist() == [fmt17(x) for x in layer.S[np.triu_indices(layer.n)]]
 
     @pytest.mark.parametrize("fmt", pipeline.EXPORT_FORMATS)
     @settings(deadline=None, max_examples=60)
@@ -644,18 +638,23 @@ class TestConcurrentFusion:
         return tuple(sorted(str(p) for p in DATA.glob("*.csv")))
 
     def test_cpu_count_without_affinity(self, monkeypatch):
-        monkeypatch.delattr(pipeline.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 3)
-        assert pipeline._cpu_count() == 3
-        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: None)
-        assert pipeline._cpu_count() == 1
+        monkeypatch.delattr(parallel.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
+        assert parallel._cpu_count() == 3
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: None)
+        assert parallel._cpu_count() == 1
 
     @pytest.fixture
     def four_cpus(self, monkeypatch):
         # more drainers than this machine may have cores, so helpers always run
-        monkeypatch.setattr(pipeline, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(parallel, "_cpu_count", lambda: 4)
 
-    def test_results_equal_a_sequential_loop(self, tmp_path, monkeypatch, four_cpus):
+    @pytest.fixture
+    def threaded(self, monkeypatch, four_cpus):
+        # the fixture's networks are far below the size rule
+        monkeypatch.setattr(parallel, "MIN_THREADED_N", 0)
+
+    def test_results_equal_a_sequential_loop(self, tmp_path, monkeypatch, threaded):
         started = []
 
         class Counted(threading.Thread):
@@ -671,7 +670,8 @@ class TestConcurrentFusion:
             report = run_pipeline(cfg)
         finally:
             sys.setswitchinterval(interval)
-        assert len(started) == 3
+        # three helpers fuse methods; a per-layer map may start more as they finish
+        assert len(started) >= 3
 
         tables, _ = filter_entities(load_abundance_tables(cfg.inputs))
         multiplex, _ = pipeline.build_layers(tables, cfg.sigma)
@@ -687,7 +687,7 @@ class TestConcurrentFusion:
             if expected.weights is not None:
                 assert np.array_equal(got.weights, expected.weights), method
 
-    def test_first_failure_in_config_order_wins(self, tmp_path, monkeypatch, four_cpus):
+    def test_first_failure_in_config_order_wins(self, tmp_path, monkeypatch, threaded):
         solve = pipeline.solve_barycenter
         wasserstein_failed = threading.Event()
         raised = {}
@@ -714,8 +714,9 @@ class TestConcurrentFusion:
         assert not (tmp_path / "out").exists()
 
     def test_single_method_starts_no_thread(self, tmp_path, monkeypatch, four_cpus):
+        # the fixture's networks are below the size rule, so even the per-layer maps run inline
         def no_thread(*args, **kwargs):
-            raise AssertionError("a single-method run started a thread")
+            raise AssertionError("a run below the size rule started a thread")
 
         monkeypatch.setattr(threading, "Thread", no_thread)
         cfg = PipelineConfig(
@@ -724,3 +725,36 @@ class TestConcurrentFusion:
         report = run_pipeline(cfg)
         assert tuple(report.fusion) == ("snf",)
         assert (tmp_path / "out" / "monoplex_snf.csv").is_file()
+
+    def test_below_the_size_rule_no_method_starts_a_thread(self, tmp_path, monkeypatch, four_cpus):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a run below the size rule started a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        report = run_pipeline(PipelineConfig(inputs=self.paths(), output_dir=str(tmp_path / "out")))
+        assert tuple(report.fusion) == pipeline.ALL_METHODS
+
+    def test_thread_bound_holds_under_fuse_all(self, tmp_path, monkeypatch):
+        # three CPUs: two helpers for four methods, and none left for a per-layer map
+        # until a method's helper finishes
+        monkeypatch.setattr(parallel, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(parallel, "MIN_THREADED_N", 0)
+        alive, most = [], [0]
+        lock = threading.Lock()
+
+        class Counted(threading.Thread):
+            def run(self):
+                with lock:
+                    alive.append(self)
+                    most[0] = max(most[0], len(alive))
+                try:
+                    super().run()
+                finally:
+                    with lock:
+                        alive.remove(self)
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        report = run_pipeline(PipelineConfig(inputs=self.paths(), output_dir=str(tmp_path / "out")))
+        assert tuple(report.fusion) == pipeline.ALL_METHODS
+        assert 1 <= most[0] <= 2
+        assert parallel._helpers == 0

@@ -3,9 +3,10 @@
 ``map_ordered`` is the one place that starts threads.  The solvers spend
 their time in LAPACK and BLAS calls, which release the interpreter lock, so
 whole fusion methods, and the per-layer products and matrix functions of one
-solver step, can run on more than one CPU.  The caller adds the per-layer
-terms in index order after collecting them, so no result depends on thread
-scheduling.
+solver step, can run on more than one CPU.  One slot counter bounds the
+helper threads of the whole process, whichever thread starts a map.  The
+caller adds the per-layer terms in index order after collecting them, so no
+result depends on thread scheduling.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ MIN_THREADED_N = 96
 
 _lock = threading.Lock()
 _helpers = 0  # helper threads alive in this process, across every map
-_local = threading.local()  # ``helper`` is set on helper threads
 
 
 def _cpu_count() -> int:
@@ -54,9 +54,11 @@ def map_ordered(fn, items, n: int, scratch=None) -> list:
     """``[fn(x) for x in items]``, on the calling thread and free helper threads.
 
     ``n`` is the node count of the matrices the work is on.  The map runs
-    inline when ``n < MIN_THREADED_N``, when it is called from a helper
-    thread, or when no helper slot is free: the process holds at most
-    ``CPUs - 1`` helper threads, and the calling thread takes part.
+    inline when ``n < MIN_THREADED_N`` or when no helper slot is free: the
+    process holds at most ``CPUs - 1`` helper threads, however deeply maps
+    nest, and the calling thread takes part.  A map called on a helper
+    thread claims free slots like any other; it joins only the helpers it
+    started, so nested maps cannot wait on one another in a cycle.
 
     With ``scratch``, a function of no arguments, each worker gets its own
     buffers ``scratch()``, made on the calling thread before any work
@@ -70,20 +72,13 @@ def map_ordered(fn, items, n: int, scratch=None) -> list:
     """
     items = list(items)
     helpers = 0
-    if n >= MIN_THREADED_N and len(items) > 1 and not getattr(_local, "helper", False):
+    if n >= MIN_THREADED_N and len(items) > 1:
         helpers = _claim(len(items) - 1)
-    buffers = [scratch() if scratch else None for _ in range(helpers + 1)]
+    results, errors, halt = [None] * len(items), {}, []
+    work = queue.SimpleQueue()
 
     def call(x, buf):
         return fn(x) if scratch is None else fn(x, buf)
-
-    if not helpers:
-        return [call(x, buffers[0]) for x in items]
-
-    work = queue.SimpleQueue()
-    for i in range(len(items)):
-        work.put(i)
-    results, errors, halt = [None] * len(items), {}, []
 
     def drain(buf):
         while not (errors or halt):
@@ -97,18 +92,22 @@ def map_ordered(fn, items, n: int, scratch=None) -> list:
                 errors[i] = exc
 
     def helper(buf):
-        _local.helper = True
         try:
             drain(buf)
         finally:
             _release(1)
 
-    threads = [
-        threading.Thread(target=helper, args=(buf,), name=f"multifuse-helper-{i}", daemon=True)
-        for i, buf in enumerate(buffers[1:])
-    ]
-    started = 0
+    started = 0  # a started helper releases its own slot
     try:
+        buffers = [scratch() if scratch else None for _ in range(helpers + 1)]
+        if not helpers:
+            return [call(x, buffers[0]) for x in items]
+        for i in range(len(items)):
+            work.put(i)
+        threads = [
+            threading.Thread(target=helper, args=(buf,), name=f"multifuse-helper-{i}", daemon=True)
+            for i, buf in enumerate(buffers[1:])
+        ]
         for t in threads:
             t.start()
             started += 1
@@ -117,7 +116,7 @@ def map_ordered(fn, items, n: int, scratch=None) -> list:
         halt.append(True)
         raise
     finally:
-        _release(len(threads) - started)
+        _release(helpers - started)
     for t in threads:
         t.join()
     if errors:

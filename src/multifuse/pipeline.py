@@ -472,33 +472,16 @@ def stage(name: str):
         raise
 
 
-def _fuse_all(multiplex: Multiplex, cfg: PipelineConfig, tables) -> dict:
-    """``fuse_method`` for each of ``cfg.methods``: its result, or the exception it raised.
-
-    The methods go through ``map_ordered``, so from ``MIN_THREADED_N``
-    nodes on they are fused on the calling thread and free helper threads,
-    and a solver whose per-layer maps find no free helper runs them inline.
-    """
-
-    def attempt(method):
-        try:
-            return fuse_method(multiplex, method, cfg, tables)
-        except Exception as exc:  # raised again by fuse_stages, in config order
-            return exc
-
-    return dict(zip(cfg.methods, map_ordered(attempt, cfg.methods, multiplex.n)))
-
-
 def fuse_stages(cfg: PipelineConfig) -> RunReport:
     """The stages ``run`` and ``fuse`` share: load, filter, similarity, weights, one per method.
 
-    From ``MIN_THREADED_N`` nodes on, the methods, and within each solver
-    the per-layer work, run on the calling thread and up to CPUs - 1 helper
-    threads in all (``map_ordered``); below it, and on one CPU, everything
-    runs on the calling thread.  Then each method's stage, in
-    ``cfg.methods`` order, raises the error its fusion raised or views its
-    result as a layer, so the first method to fail in that order names the
-    error, and no result depends on thread scheduling.
+    The methods go through ``map_ordered``: from ``MIN_THREADED_N`` nodes
+    on, they and the per-layer work of each solver run on the calling
+    thread and up to CPUs - 1 helper threads in all; below it, and on one
+    CPU, everything runs on the calling thread.  Each method's stage fuses
+    it and views its result as a layer.  When a method fails, no further
+    method starts, and the error raised is the first failing method's in
+    ``cfg.methods`` order, so no result depends on thread scheduling.
 
     Returns the run record up to the fusion results and monoplex layers,
     keyed by method; its dcor tables and partitions are still empty.
@@ -512,15 +495,15 @@ def fuse_stages(cfg: PipelineConfig) -> RunReport:
     with stage("weights"):
         rv = rv_matrix(multiplex)
         weight_tables = {"frobenius": weights_frobenius(rv), "rowsum": weights_rowsum(rv)}
-    outcomes = _fuse_all(multiplex, cfg, weight_tables)
-    fusion: dict[str, FusionResult] = {}
-    monoplexes: dict[str, SimilarityLayer] = {}
-    for method in cfg.methods:
+
+    def fuse(method):
         with stage(method):
-            if isinstance(outcomes[method], Exception):
-                raise outcomes[method]
-            fusion[method] = outcomes[method]
-            monoplexes[method] = fusion[method].as_layer()
+            result = fuse_method(multiplex, method, cfg, weight_tables)
+            return result, result.as_layer()
+
+    fused = map_ordered(fuse, cfg.methods, multiplex.n)
+    fusion = {method: result for method, (result, _) in zip(cfg.methods, fused)}
+    monoplexes = {method: layer for method, (_, layer) in zip(cfg.methods, fused)}
     return RunReport(multiplex, flog, sigmas, weight_tables, fusion, monoplexes)
 
 
@@ -547,9 +530,9 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     (between the monoplexes, and of the SNF monoplex against each layer),
     cluster, write.  Fully deterministic for a fixed configuration and
     inputs, whatever the thread scheduling.  An error raised inside a stage
-    propagates as is, with an ``[stage <name>]`` note added; when several
-    methods fail, the error is the first one's in ``cfg.methods`` order, and
-    nothing is written.
+    propagates as is, with an ``[stage <name>]`` note added, and nothing is
+    written.  A failing method starts no further method; when several fail,
+    the error is the first one's in ``cfg.methods`` order.
     """
     report = fuse_stages(cfg)
     with stage("dcor"):

@@ -241,7 +241,7 @@ def _prepare_pd(mats: list[np.ndarray], jitter: float, require_pd: bool) -> list
 def _weighted_sum(mats: list[np.ndarray], w: np.ndarray) -> np.ndarray:
     acc = w[0] * mats[0]
     for wl, m in zip(w[1:], mats[1:]):
-        acc = acc + wl * m
+        acc += wl * m
     return acc
 
 
@@ -299,7 +299,7 @@ def barycenter_riemannian(layers, w, cfg: BarycenterConfig | None = None) -> Fus
     (``_bini_iannazzo_step``), which comes with a convergence proof.  The
     update right after a rise of the residual takes ``theta_k``; the next
     one resumes the quotient.  The m ``log`` calls of an update go through
-    ``map_ordered`` and are added in layer order.
+    ``map_ordered``, and ``_weighted_sum`` adds them in layer order.
     """
     cfg = cfg or BarycenterConfig()
     labels, mats = _coerce_layers(layers)
@@ -312,11 +312,8 @@ def barycenter_riemannian(layers, w, cfg: BarycenterConfig | None = None) -> Fus
         while True:
             xs, xis = spectral_fns(x, "sqrt", "invsqrt")
             logs = map_ordered(lambda s: spectral_fns(xis @ s @ xis, "log", extremes=True), mats, n)
-            tangent = np.zeros_like(x)
-            conds = []
-            for wl, (log_s, (lo, hi)) in zip(w, logs):
-                tangent += wl * log_s
-                conds.append(hi / lo)
+            tangent = _weighted_sum([log_s for log_s, _ in logs], w)
+            conds = [hi / lo for _, (lo, hi) in logs]
             residual = fro_norm(tangent)
             yield residual, x
             if prev is not None:
@@ -368,8 +365,8 @@ def barycenter_wasserstein(layers, w, cfg: BarycenterConfig | None = None) -> Fu
     at the cost of one ``eigvalsh`` of ``T``, so that ``M``'s smallest
     eigenvalue stays at or above ``PD_MARGIN = 1/2``; at ``eta = 1``, ``M =
     T``.  Layers may be semidefinite as long as the iterate stays positive
-    definite.  The m square roots of an update go through ``map_ordered``
-    and are added in layer order.
+    definite.  The m square roots of an update go through ``map_ordered``,
+    and ``_weighted_sum`` adds them in layer order.
     """
     cfg = cfg or BarycenterConfig()
     labels, mats = _coerce_layers(layers)
@@ -382,10 +379,9 @@ def barycenter_wasserstein(layers, w, cfg: BarycenterConfig | None = None) -> Fu
         eta, prev = 1.0, None
         while True:
             xs, xis = spectral_fns(x, "sqrt", "invsqrt")
-            roots = map_ordered(lambda s: spectral_fns(xs @ s @ xs, "sqrt")[0], mats, n)
-            mean_root = np.zeros_like(x)
-            for wl, root in zip(w, roots):
-                mean_root += wl * root
+            mean_root = _weighted_sum(
+                map_ordered(lambda s: spectral_fns(xs @ s @ xs, "sqrt")[0], mats, n), w
+            )
             residual = fro_norm(x - mean_root)
             yield residual, x
             t = xis @ mean_root @ xis

@@ -111,15 +111,18 @@ class TestMapOrdered:
         n = parallel.MIN_THREADED_N - 1
         assert map_ordered(lambda x: x + 1, range(5), n) == [1, 2, 3, 4, 5]
 
-    def test_helper_threads_map_inline(self, cpus):
+    def test_helper_thread_map_starts_its_own_helper(self, cpus):
+        # eight CPUs: one helper for the outer map, three for each inner map
         cpus(8)
         gate = threading.Barrier(2, timeout=30)
+        inner_gates = {x: threading.Barrier(2, timeout=10) for x in range(2)}
         outer_thread, inner_threads = {}, {}
 
         def inner(job):
             x, y = job
             inner_threads.setdefault(x, set()).add(threading.current_thread())
-            time.sleep(0.005)
+            if y < 2:
+                inner_gates[x].wait()  # items 0 and 1 of one map run at once
             return y
 
         def outer(x):
@@ -131,7 +134,26 @@ class TestMapOrdered:
         on_helper = [x for x, t in outer_thread.items() if t is not threading.current_thread()]
         assert len(on_helper) == 1
         x = on_helper[0]
-        assert inner_threads[x] == {outer_thread[x]}
+        assert inner_threads[x] - {outer_thread[x]}  # a helper of the helper took part
+        assert parallel._helpers == 0
+
+    def test_failing_scratch_releases_the_slots(self, cpus, started):
+        cpus(4)
+        made = []
+
+        def scratch():
+            made.append(None)
+            if len(made) == 2:
+                raise MemoryError("scratch")
+            return []
+
+        with pytest.raises(MemoryError, match="scratch"):
+            map_ordered(lambda x, buf: x, range(6), n=0, scratch=scratch)
+        assert started == []
+        assert parallel._helpers == 0
+        # a later map gets every helper slot
+        assert map_ordered(lambda x: time.sleep(0.002) or x, range(6), n=0) == list(range(6))
+        assert len(started) == 3
         assert parallel._helpers == 0
 
     def test_thread_bound_across_nested_maps(self, cpus):

@@ -708,9 +708,28 @@ class TestConcurrentFusion:
         cfg = PipelineConfig(inputs=self.paths()[:3], output_dir=str(tmp_path / "out"))
         with pytest.raises(SingularMatrix, match="riemannian failed") as info:
             run_pipeline(cfg)
+        assert wasserstein_failed.is_set()
         assert info.value is raised["riemannian"]
         assert info.value.__notes__ == ["[stage sma-riemannian]"]
-        assert not hasattr(raised["wasserstein"], "__notes__")
+        assert not (tmp_path / "out").exists()
+
+    def test_no_method_starts_after_a_failure(self, tmp_path, monkeypatch, four_cpus):
+        # the fixture's networks are below the size rule, so the methods run inline in order
+        solve = pipeline.solve_barycenter
+        called = []
+
+        def failing(layers, w, name, cfg):
+            called.append(name)
+            if name == "riemannian":
+                raise SingularMatrix("riemannian failed")
+            return solve(layers, w, name, cfg)
+
+        monkeypatch.setattr(pipeline, "solve_barycenter", failing)
+        cfg = PipelineConfig(inputs=self.paths()[:3], output_dir=str(tmp_path / "out"))
+        with pytest.raises(SingularMatrix, match="riemannian failed") as info:
+            run_pipeline(cfg)
+        assert info.value.__notes__ == ["[stage sma-riemannian]"]
+        assert called == ["frobenius", "riemannian"]
         assert not (tmp_path / "out").exists()
 
     def test_single_method_starts_no_thread(self, tmp_path, monkeypatch, four_cpus):
@@ -735,8 +754,8 @@ class TestConcurrentFusion:
         assert tuple(report.fusion) == pipeline.ALL_METHODS
 
     def test_thread_bound_holds_under_fuse_all(self, tmp_path, monkeypatch):
-        # three CPUs: two helpers for four methods, and none left for a per-layer map
-        # until a method's helper finishes
+        # three CPUs: two helpers for four methods, and none left for a per-layer map,
+        # on any thread, until a method's helper finishes
         monkeypatch.setattr(parallel, "_cpu_count", lambda: 3)
         monkeypatch.setattr(parallel, "MIN_THREADED_N", 0)
         alive, most = [], [0]

@@ -16,7 +16,7 @@ import json
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from itertools import compress
+from itertools import chain, compress, islice
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from .netanalysis import (
     louvain_communities,
 )
 from .parallel import map_ordered
-from .simbuild import FeatureTable, Multiplex, SimilarityLayer, auto_sigma, rbf_similarity
+from .simbuild import FeatureTable, Multiplex, SimilarityLayer, rbf_layer
 from .sma import (
     BarycenterConfig,
     rv_matrix,
@@ -76,7 +76,8 @@ EXPORT_FORMATS = ("edge-list", "graphml", "csv-matrix")
 def fmt17(x: float) -> str:
     """Render a float with 17 significant digits (round-trip exact).
 
-    Adding 0.0 folds -0.0 into 0.0; ``_upper17`` applies the same rule to arrays.
+    Adding 0.0 folds -0.0 into 0.0.  ``_chars17`` renders arrays of floats
+    to the same texts.
     """
     return "%.17g" % (float(x) + 0.0)
 
@@ -434,9 +435,8 @@ def build_layers(tables, sigma: float | None = None) -> tuple[Multiplex, dict[st
     layers = []
     sigmas = {}
     for t in tables:
-        s = sigma if sigma is not None else auto_sigma(t)
-        sigmas[t.name] = s
-        layers.append(rbf_similarity(t, s))
+        layer, sigmas[t.name] = rbf_layer(t, sigma)
+        layers.append(layer)
     mx = Multiplex(tuple(layers), tuple(t.name for t in tables))
     return mx, sigmas
 
@@ -511,16 +511,15 @@ def _dcor_tables(multiplex: Multiplex, monoplexes: dict[str, SimilarityLayer]):
     """dcor between the monoplexes, and of the SNF monoplex (if any) against each layer.
 
     Each monoplex is centered once; each layer is centered in its own
-    ``distance_correlation`` call, so one layer's matrix is held at a time.
+    ``distance_correlation`` call, so each worker of ``map_ordered`` holds
+    one layer's matrix at a time.
     """
     centered = {name: centered_distances(lay) for name, lay in monoplexes.items()}
     mono_dcor = correlation_table(tuple(centered), centered.values())
     if "snf" not in centered:
         return mono_dcor, ()
-    return mono_dcor, tuple(
-        (lname, distance_correlation(centered["snf"], lay))
-        for lname, lay in zip(multiplex.names, multiplex.layers)
-    )
+    values = map_ordered(lambda lay: distance_correlation(centered["snf"], lay), multiplex.layers, multiplex.n)
+    return mono_dcor, tuple(zip(multiplex.names, values))
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunReport:
@@ -552,9 +551,16 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
 
 
 def _write_text(path: Path, text: str):
+    _write_lines(path, (text,))
+
+
+def _write_lines(path: Path, lines):
+    """Write the strings of ``lines`` to ``path`` in UTF-8, joined a few thousand at a time."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    lines = iter(lines)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(text)
+        while batch := list(islice(lines, 4096)):
+            fh.write("".join(batch))
 
 
 #: A CSV field holding one of these characters is quoted.
@@ -577,32 +583,148 @@ def _csv_text(rows) -> str:
     return "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
 
 
-def _upper17(s: np.ndarray) -> np.ndarray:
-    """The entries ``s[i, j]`` with ``i <= j``, row by row, each as ``fmt17`` renders it."""
-    v = s[np.triu_indices(s.shape[0])] + 0.0
-    text = ",".join(["%.17g"] * v.size) % tuple(v.tolist())
-    return np.array(text.split(","), dtype=object)
+#: Bytes of the longest ``%.17g`` text of a float64, such as ``-2.2250738585072014e-308``.
+_WIDTH17 = 24
+#: ``10.0 ** (17 + z)`` for z = 0 .. 3, each exact in binary, and its two 26-bit halves.
+_POW10 = np.array([1e17, 1e18, 1e19, 1e20])
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_K = np.arange(10000, dtype=np.uint64)
+#: ``"%04d" % k`` for k < 10000, four ASCII bytes read as one little-endian integer.
+_QUADS = sum((48 + _K // 10 ** (3 - i) % 10) << (8 * i) for i in range(4))
+#: How many of ``"%04d" % k``'s four characters are trailing zeros.
+_QUAD_ZEROS = sum((_K % 10**i == 0).astype(np.int64) for i in range(1, 5))
+#: ``_KEEP[k]`` keeps the first k of 24 bytes held in three little-endian 8-byte words.
+_KEEP = np.array([[2 ** (8 * min(max(k - 8 * i, 0), 8)) - 1 for i in range(3)] for k in range(25)], np.uint64)
+#: ``"0.00"`` as the first four bytes of a little-endian 8-byte word.
+_LEAD = np.frombuffer(b"0.00", "<u4").astype(np.uint64)[0]
+#: Values ``_chars17`` renders at a time, so that its temporaries stay in cache.
+_CHUNK17 = 1 << 13
+
+
+def _chars17(values: np.ndarray) -> np.ndarray:
+    """Each of ``values`` as ``fmt17`` renders it: ASCII, one NUL-padded row of ``_WIDTH17`` bytes each.
+
+    Values in [1e-4, 1) go to ``_digits17``, and exact 0 and 1 are written
+    directly.  Every other value goes to one ``%`` call.
+    """
+    v = np.asarray(values, dtype=float).ravel() + 0.0
+    fast = (v >= 1e-4) & (v < 1.0)
+    chars = np.empty((v.size, _WIDTH17), np.uint8)
+    for start in range(0, v.size, _CHUNK17):
+        end = start + _CHUNK17
+        chars[start:end] = _digits17(np.where(fast[start:end], v[start:end], 0.5))
+    chars[v == 0.0] = np.frombuffer(b"0".ljust(_WIDTH17, b"\0"), np.uint8)
+    chars[v == 1.0] = np.frombuffer(b"1".ljust(_WIDTH17, b"\0"), np.uint8)
+    rest = np.flatnonzero(~fast & (v != 0.0) & (v != 1.0))
+    if rest.size:
+        text = ",".join(["%.17g"] * rest.size) % tuple(v[rest].tolist())
+        texts = np.array(text.encode("ascii").split(b","), f"S{_WIDTH17}")
+        chars[rest] = texts.view(np.uint8).reshape(-1, _WIDTH17)
+    return chars
+
+
+def _digits17(x: np.ndarray) -> np.ndarray:
+    """``_chars17`` for values in [1e-4, 1), by integer arithmetic.
+
+    The text is ``0.``, then z zeros, then the 17-digit integer N nearest to
+    ``x * 10**(17 + z)``, without its trailing zeros.  N is exact, rounded
+    half to even as ``%.17g`` rounds.
+    """
+    # z zeros follow "0.": the float64 nearest each of 0.1, 0.01 and 0.001 lies
+    # above it, and no float64 below it reaches it when rounded to 17 digits.
+    z = np.add(x < 0.1, x < 0.01, dtype=np.intp) + (x < 0.001)
+    # Dekker's product: hi + lo == x * 10**(17 + z) exactly.  hi >= 1e16 > 2**53
+    # is an even integer and |lo| <= ulp(hi) / 2 <= 8, so rounding lo half to
+    # even rounds hi + lo half to even.
+    hi = x * _POW10[z]
+    t = 134217729.0 * x  # 2**27 + 1 splits x into two 26-bit halves
+    xh = t - (t - x)
+    xl = x - xh
+    ph, pl = _POW10_HI[z], _POW10_LO[z]
+    lo = ((xh * ph - hi) + xh * pl + xl * ph) + xl * pl
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+    # N's digits, grouped 3 + 4 + 4 + 4 + 2 after "0.00", fill three 8-byte words
+    q, last = _divmod(n, 100)
+    q, d = _divmod(q, 10000)
+    q, c = _divmod(q, 10000)
+    a, b = _divmod(q, 10000)
+    words = [
+        _LEAD | (_QUADS[a] << 32),
+        _QUADS[b] | (_QUADS[c] << 32),
+        _QUADS[d] | (_QUADS[100 * last] << 32),
+    ]
+    zeros = _QUAD_ZEROS[100 * last] - 2  # less the two pad zeros
+    tail = last == 0
+    for g in (d, c, b, a):
+        zeros += tail * _QUAD_ZEROS[g]
+        tail &= g == 0
+    # keep "0." and z of the three zeros after it, then the digits up to N's last nonzero one
+    shift = (8 * (3 - z)).astype(np.uint64)
+    w0, w1, w2 = words
+    words = [
+        (w0 & 0xFFFF) | (((w0 >> shift) | (w1 << (64 - shift))) & ~np.uint64(0xFFFF)),
+        (w1 >> shift) | (w2 << (64 - shift)),
+        w2 >> shift,
+    ]
+    words = np.stack(words, axis=1)
+    words &= _KEEP[19 + z - zeros]
+    return words.astype("<u8", copy=False).view(np.uint8)
+
+
+def _divmod(n: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.divmod(n, k)``; NumPy's ``//`` by a scalar is several times faster than ``divmod``."""
+    q = n // k
+    return q, n - k * q
+
+
+def _upper(s: np.ndarray) -> np.ndarray:
+    """The entries ``s[i, j]`` with ``i <= j``, row by row."""
+    k = np.arange(s.shape[0])
+    return s[k[:, None] <= k]
+
+
+def _texts17(chars: np.ndarray) -> np.ndarray:
+    """The rows of ``_chars17``'s result as a NumPy string array."""
+    return chars.astype(np.uint32).view(f"U{_WIDTH17}")[:, 0]
+
+
+#: Matrix cells gathered per block of rows by ``write_similarity_csv``.
+_BLOCK_CELLS = 1 << 16
 
 
 def write_similarity_csv(path, layer: SimilarityLayer) -> np.ndarray:
     """Write ``layer`` as a labelled full-matrix CSV with 17-significant-digit values.
 
     ``layer.S`` is exactly symmetric, so only its upper triangle, diagonal
-    included, is formatted, and each value is written in both of its cells.
-    Returns those texts (``_upper17``), from which ``_edges17`` takes the
-    edge weights without formatting them again.
+    included, is formatted (``_chars17``), and each value is written in both
+    of its cells: each block of rows is gathered from those fields and
+    written before the next is built.  Returns the upper triangle's texts,
+    row by row, from which ``_edges17`` takes the edge weights without
+    formatting them again.
     """
     n = layer.n
-    upper = _upper17(layer.S)
-    cells = np.empty((n, n), dtype=object)
-    iu, ju = np.triu_indices(n)
-    cells[iu, ju] = upper
-    cells[ju, iu] = upper
-    fields = [_csv_field(lab) for lab in layer.labels]
-    lines = [",".join(["", *fields])]
-    lines += [f"{lab},{','.join(row)}" for lab, row in zip(fields, cells.tolist())]
-    _write_text(Path(path), "\n".join(lines) + "\n")
-    return upper
+    fields = np.empty((n * (n + 1) // 2, _WIDTH17 + 1), np.uint8)  # each text, NUL padded, then ","
+    fields[:, :-1] = _chars17(_upper(layer.S))
+    fields[:, -1] = ord(",")
+    labels = [_csv_field(lab).encode("utf-8") for lab in layer.labels]
+    heads = [b"\n" + lab + b"," for lab in labels]  # each row's start
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.write(b"," + b",".join(labels))
+        j = np.arange(n)
+        before = j * n - j * (j + 1) // 2  # fields[before[a] + b] is cell (a, b), a <= b
+        step = max(1, _BLOCK_CELLS // n)
+        for start in range(0, n, step):
+            i = j[start:start + step, None]
+            block = np.take(fields, before[np.minimum(i, j)] + np.maximum(i, j), axis=0)
+            block[:, -1, -1] = ord("\n")
+            rows = block.tobytes().translate(None, b"\0").split(b"\n")
+            fh.write(b"".join(chain.from_iterable(zip(heads[start:start + len(i)], rows))))
+        fh.write(b"\n")
+    return _texts17(fields[:, :-1])
 
 
 def load_similarity_csv(path) -> SimilarityLayer:
@@ -651,11 +773,11 @@ def export_graph(layer: SimilarityLayer, partition, fmt: str, path, threshold: f
     if fmt == "csv-matrix":
         write_similarity_csv(path, layer)
         return path
-    edges = _edges17(s, _upper17(s), threshold)
+    edges = _edges17(s, _texts17(_chars17(_upper(s))), threshold)
     if fmt == "edge-list":
-        _write_text(path, _edge_list_text(labels, edges))
+        _write_lines(path, _edge_list_lines(labels, edges))
     else:
-        _write_text(path, _graphml_text(labels, partition, edges))
+        _write_lines(path, _graphml_lines(labels, partition, edges))
     return path
 
 
@@ -663,40 +785,34 @@ def _edges17(s: np.ndarray, upper: np.ndarray, threshold: float) -> list[tuple[i
     """The pairs i < j with ``s[i, j] > threshold``, each with its weight's text from ``upper``."""
     iu, ju = np.triu_indices(s.shape[0])
     keep = (iu < ju) & (s[iu, ju] > threshold)
-    return list(zip(iu[keep].tolist(), ju[keep].tolist(), upper[keep].tolist()))
+    return list(zip(iu[keep].tolist(), ju[keep].tolist(), compress(upper.tolist(), keep.tolist())))
 
 
-def _edge_list_text(labels, edges) -> str:
+def _edge_list_lines(labels, edges):
     fields = [_csv_field(lab) for lab in labels]
-    lines = ["source,target,weight"]
-    lines += [f"{fields[i]},{fields[j]},{x}" for i, j, x in edges]
-    return "\n".join(lines) + "\n"
+    yield "source,target,weight\n"
+    for i, j, x in edges:
+        yield f"{fields[i]},{fields[j]},{x}\n"
 
 
-def _graphml_text(labels, partition, edges) -> str:
+def _graphml_lines(labels, partition, edges):
     """GraphML laid out as ElementTree's indent() and tostring() lay it out."""
     ids = [lab.translate(_XML_ATTR_ESCAPES) for lab in labels]
-    lines = [
-        "<?xml version='1.0' encoding='utf-8'?>",
-        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
-        '  <key attr.name="weight" attr.type="double" id="w" for="edge" />',
-    ]
+    yield "<?xml version='1.0' encoding='utf-8'?>\n"
+    yield '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
+    yield '  <key attr.name="weight" attr.type="double" id="w" for="edge" />\n'
     if partition is None:
-        lines.append('  <graph id="G" edgedefault="undirected">')
-        lines += [f'    <node id="{x}" />' for x in ids]
+        yield '  <graph id="G" edgedefault="undirected">\n'
+        for x in ids:
+            yield f'    <node id="{x}" />\n'
     else:
-        lines.append('  <key attr.name="community" attr.type="int" id="c" for="node" />')
-        lines.append('  <graph id="G" edgedefault="undirected">')
-        lines += [
-            f'    <node id="{x}">\n      <data key="c">{c}</data>\n    </node>'
-            for x, c in zip(ids, partition.community.tolist())
-        ]
-    lines += [
-        f'    <edge source="{ids[i]}" target="{ids[j]}">\n      <data key="w">{x}</data>\n    </edge>'
-        for i, j, x in edges
-    ]
-    lines += ["  </graph>", "</graphml>"]
-    return "\n".join(lines) + "\n"
+        yield '  <key attr.name="community" attr.type="int" id="c" for="node" />\n'
+        yield '  <graph id="G" edgedefault="undirected">\n'
+        for x, c in zip(ids, partition.community.tolist()):
+            yield f'    <node id="{x}">\n      <data key="c">{c}</data>\n    </node>\n'
+    for i, j, x in edges:
+        yield f'    <edge source="{ids[i]}" target="{ids[j]}">\n      <data key="w">{x}</data>\n    </edge>\n'
+    yield "  </graph>\n</graphml>\n"
 
 
 def _write_artifacts(out_dir: Path, report: RunReport, threshold: float):
@@ -706,13 +822,12 @@ def _write_artifacts(out_dir: Path, report: RunReport, threshold: float):
         write_similarity_csv(out_dir / "layers" / f"{name}.csv", lay)
 
     for name, lay in report.monoplexes.items():
-        upper = write_similarity_csv(out_dir / f"monoplex_{name}.csv", lay)
         # what export_graph writes for these two formats, from the matrix CSV's texts
-        edges = _edges17(lay.S, upper, threshold)
-        _write_text(out_dir / f"edges_{name}.csv", _edge_list_text(lay.labels, edges))
-        _write_text(
+        edges = _edges17(lay.S, write_similarity_csv(out_dir / f"monoplex_{name}.csv", lay), threshold)
+        _write_lines(out_dir / f"edges_{name}.csv", _edge_list_lines(lay.labels, edges))
+        _write_lines(
             out_dir / f"graph_{name}.graphml",
-            _graphml_text(lay.labels, report.partitions[name], edges),
+            _graphml_lines(lay.labels, report.partitions[name], edges),
         )
 
     tables = report.weight_tables

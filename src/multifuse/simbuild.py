@@ -153,7 +153,10 @@ def auto_sigma(table: FeatureTable) -> float:
     The mean excludes the diagonal.  Falls back to 1.0 when all rows
     coincide (every distance is zero, so the kernel value is 1 regardless).
     """
-    d2 = sq_distances(table.rows)
+    return _mean_off_diagonal(sq_distances(table.rows))
+
+
+def _mean_off_diagonal(d2: np.ndarray) -> float:
     n = d2.shape[0]
     if n < 2:
         return 1.0
@@ -167,12 +170,16 @@ def rbf_similarity(table: FeatureTable, sigma: float | None = None) -> Similarit
 
     ``sigma=None`` selects the scale-adaptive default from ``auto_sigma``.
     """
+    return rbf_layer(table, sigma)[0]
+
+
+def rbf_layer(table: FeatureTable, sigma: float | None = None) -> tuple[SimilarityLayer, float]:
+    """``rbf_similarity(table, sigma)`` and the bandwidth it used, from one distance matrix."""
     if sigma is not None and not 0 < sigma < np.inf:
         raise InvalidParameter(f"sigma must be positive and finite, got {sigma}")
-    if sigma is None:
-        sigma = auto_sigma(table)
     d2 = sq_distances(table.rows)
+    if sigma is None:
+        sigma = _mean_off_diagonal(d2)
     s = np.exp(-d2 / sigma)
     np.fill_diagonal(s, 1.0)
-    return SimilarityLayer(table.labels, s)
-
+    return SimilarityLayer(table.labels, s), sigma

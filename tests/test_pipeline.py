@@ -268,6 +268,76 @@ class TestFormatting:
             dumps_json17({"x": object()})
 
 
+def texts17(values):
+    """What the array formatter renders each of ``values`` as."""
+    return pipeline._texts17(pipeline._chars17(np.asarray(values, dtype=float))).tolist()
+
+
+def reference17(values):
+    return [format(float(x) + 0.0, ".17g") for x in np.ravel(values)]
+
+
+class TestArrayFormatter:
+    """``_chars17`` gives exactly the texts of ``format(x, ".17g")``, with -0.0 as ``0``."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(values=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+    @example(values=[-0.0, 0.0, 1.0])
+    def test_floats_in_unit_interval(self, values):
+        assert texts17(values) == reference17(values)
+
+    @pytest.mark.parametrize("q", [18, 19, 20, 21])
+    def test_half_way_ties(self, q):
+        # odd m / 2**q has q decimals, the last one a 5; in [10**(17 - q), 10**(18 - q))
+        # 17 significant digits keep q - 1 of them, so each value lies half way
+        low, high = 2**q // 10 ** (q - 17) + 1, 2**q // 10 ** (q - 18)
+        m = np.random.default_rng(q).integers(low // 2, high // 2, 5000) * 2 + 1
+        values = m / 2.0**q
+        assert values.min() >= 10.0 ** (17 - q) and values.max() < 10.0 ** (18 - q)
+        assert texts17(values) == reference17(values)
+
+    def test_neighbours_of_powers_of_ten(self):
+        values = []
+        for p in (1.0, 1e-1, 1e-2, 1e-3, 1e-4):
+            below = above = p
+            for _ in range(8):
+                below, above = np.nextafter(below, 0.0), np.nextafter(above, 2.0)
+                values += [below, above]
+            values.append(p)
+        assert texts17(values) == reference17(values)
+
+    def test_values_outside_the_range(self):
+        values = [np.nextafter(1e-4, 0.0), 9.9999e-5, 1e-300, 5e-324, 2.2250738585072014e-308,
+                  1.5, 2.0, 1e300, -0.5, -1e-300, np.inf, -np.inf, np.nan]
+        assert texts17(values) == reference17(values)
+        assert texts17([5e-324]) == ["4.9406564584124654e-324"]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sweep_uniform_and_log_uniform(self, seed):
+        rng = np.random.default_rng(seed)
+        values = np.concatenate([rng.random(300_000), 10.0 ** rng.uniform(-5.0, 0.0, 300_000)])
+        assert texts17(values) == reference17(values)
+
+    def test_matrix_with_every_value_outside_the_range(self, tmp_path):
+        rng = np.random.default_rng(3)
+        s = rng.uniform(0.0, 1e-4, (6, 6)) * 10.0 ** rng.integers(-300, 0, (6, 6))
+        layer = SimilarityLayer(tuple("abcdef"), (s + s.T) / 2)
+        path = tmp_path / "m.csv"
+        upper = write_similarity_csv(path, layer)
+        assert path.read_bytes() == similarity_csv_reference(layer.labels, layer.S).encode("utf-8")
+        assert upper.tolist() == reference17(layer.S[np.triu_indices(6)])
+
+    def test_rbf_layer_over_several_row_blocks(self, tmp_path):
+        # 401 rows are gathered in blocks of 163, so the last block is short
+        assert pipeline._BLOCK_CELLS // 401 == 163
+        rng = np.random.default_rng(4)
+        table = FeatureTable([f"e{i}" for i in range(401)], rng.random((401, 7)))
+        layer = pipeline.rbf_layer(table)[0]
+        path = tmp_path / "m.csv"
+        write_similarity_csv(path, layer)
+        assert path.read_bytes() == similarity_csv_reference(layer.labels, layer.S).encode("utf-8")
+
+
 class TestMatrixCsv:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -50,7 +50,7 @@ def _release(count: int):
         _helpers -= count
 
 
-def map_ordered(fn, items, n: int, scratch=None) -> list:
+def map_ordered(fn, items, n: int) -> list:
     """``[fn(x) for x in items]``, on the calling thread and free helper threads.
 
     ``n`` is the node count of the matrices the work is on.  The map runs
@@ -60,12 +60,6 @@ def map_ordered(fn, items, n: int, scratch=None) -> list:
     thread claims free slots like any other; it joins only the helpers it
     started, so nested maps cannot wait on one another in a cycle.
 
-    With ``scratch``, a function of no arguments, each worker gets its own
-    buffers ``scratch()``, made on the calling thread before any work
-    starts, and each call is ``fn(x, buffers)``.  Work that writes into
-    buffers and outputs that the caller allocated keeps the large arrays out
-    of the helper threads' allocator arenas.
-
     When items raise, no further item starts, and the error of the lowest
     index is raised, as an inline loop would raise it.  Helpers are daemon
     threads, so an interrupt of the caller need not wait for them.
@@ -74,44 +68,40 @@ def map_ordered(fn, items, n: int, scratch=None) -> list:
     helpers = 0
     if n >= MIN_THREADED_N and len(items) > 1:
         helpers = _claim(len(items) - 1)
+    if not helpers:
+        return [fn(x) for x in items]
     results, errors, halt = [None] * len(items), {}, []
     work = queue.SimpleQueue()
 
-    def call(x, buf):
-        return fn(x) if scratch is None else fn(x, buf)
-
-    def drain(buf):
+    def drain():
         while not (errors or halt):
             try:
                 i = work.get_nowait()
             except queue.Empty:
                 return
             try:
-                results[i] = call(items[i], buf)
+                results[i] = fn(items[i])
             except Exception as exc:  # raised by the caller, lowest index first
                 errors[i] = exc
 
-    def helper(buf):
+    def helper():
         try:
-            drain(buf)
+            drain()
         finally:
             _release(1)
 
     started = 0  # a started helper releases its own slot
     try:
-        buffers = [scratch() if scratch else None for _ in range(helpers + 1)]
-        if not helpers:
-            return [call(x, buffers[0]) for x in items]
         for i in range(len(items)):
             work.put(i)
         threads = [
-            threading.Thread(target=helper, args=(buf,), name=f"multifuse-helper-{i}", daemon=True)
-            for i, buf in enumerate(buffers[1:])
+            threading.Thread(target=helper, name=f"multifuse-helper-{i}", daemon=True)
+            for i in range(helpers)
         ]
         for t in threads:
             t.start()
             started += 1
-        drain(buffers[0])
+        drain()
     except BaseException:
         halt.append(True)
         raise

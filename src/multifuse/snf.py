@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidParameter, check_field_types
+from .errors import DimensionError, InvalidInput, InvalidParameter, check_field_types
 from .matcore import fro_norm
 from .parallel import map_ordered
 from .simbuild import Multiplex, SimilarityLayer, layer_matrix
@@ -161,32 +161,36 @@ def cdp_step(P: list[np.ndarray], Q: list[np.ndarray]) -> list[np.ndarray]:
     """One simultaneous cross-diffusion update of all layers.
 
     ``P`` holds the status matrices and ``Q`` the fixed kernels, one per
-    layer.  Every layer's new status is computed from the old ``P``, then
-    symmetrized (the update rule is not exactly symmetry-preserving in
-    floating point).  The layers are updated through ``map_ordered``; each
-    worker writes into the outputs and one pair of buffers made here.
+    layer, all of one shape.  Every layer's new status is computed from the
+    old ``P``, then symmetrized (the update rule is not exactly
+    symmetry-preserving in floating point).  The layers are updated through
+    ``map_ordered``; each update allocates only its running sum and writes
+    its products into an output allocated here.
     """
     m = len(P)
     if m < 2:
         raise InvalidInput("cross diffusion needs at least two layers")
+    if len(Q) != m:
+        raise DimensionError(f"expected {m} kernels, got {len(Q)}")
+    shape = P[0].shape
+    if any(x.shape != shape for x in (*P, *Q)):
+        raise DimensionError(f"every status matrix and kernel must have shape {shape}")
     new_p = [np.empty_like(p) for p in P]
 
-    def update(l, buffers):
-        others, mixed = buffers
+    def update(l):
         # Sum the other layers in index order and in place: total - own
         # breaks exact ties between identical layers by roundoff.
-        others.fill(0.0)
+        others = np.zeros_like(P[l])
         for h in range(m):
             if h != l:
                 others += P[h]
         others /= m - 1
-        np.matmul(Q[l], others, out=mixed)
-        np.matmul(mixed, Q[l].T, out=others)
+        np.matmul(Q[l], others, out=new_p[l])
+        np.matmul(new_p[l], Q[l].T, out=others)
         np.add(others, others.T, out=new_p[l])
         new_p[l] /= 2.0
 
-    map_ordered(update, range(m), P[0].shape[0],
-                scratch=lambda: (np.empty_like(P[0]), np.empty_like(P[0])))
+    map_ordered(update, range(m), shape[0])
     return new_p
 
 
@@ -196,11 +200,8 @@ def _reweight(fused: np.ndarray) -> np.ndarray:
     Entries are divided by the largest off-diagonal value, clipped to
     [0, 1], and the diagonal is set to one.
     """
-    s = fused.copy()
-    top = float(s[~np.eye(s.shape[0], dtype=bool)].max())
-    if top > 0:
-        s = s / top
-    s = np.clip(s, 0.0, 1.0)
+    top = float(fused[~np.eye(fused.shape[0], dtype=bool)].max())
+    s = np.clip(fused / top if top > 0 else fused, 0.0, 1.0)
     np.fill_diagonal(s, 1.0)
     return s
 

@@ -86,22 +86,6 @@ class TestMapOrdered:
             map_ordered(work, range(50), n=0)
         assert len(ran) < 50
 
-    def test_scratch_is_made_once_per_worker_on_the_calling_thread(self, cpus):
-        cpus(3)
-        made = []
-
-        def scratch():
-            made.append(threading.current_thread())
-            return []
-
-        def work(x, buf):
-            buf.append(x)
-            time.sleep(0.01)
-            return x
-
-        assert map_ordered(work, range(6), n=0, scratch=scratch) == list(range(6))
-        assert made == [threading.current_thread()] * 3
-
     def test_one_cpu_starts_no_thread(self, cpus, no_thread):
         cpus(1)
         assert map_ordered(lambda x: -x, range(5), n=0) == [0, -1, -2, -3, -4]
@@ -137,23 +121,28 @@ class TestMapOrdered:
         assert inner_threads[x] - {outer_thread[x]}  # a helper of the helper took part
         assert parallel._helpers == 0
 
-    def test_failing_scratch_releases_the_slots(self, cpus, started):
+    def test_failing_thread_start_releases_the_slots(self, cpus, monkeypatch):
         cpus(4)
-        made = []
+        begun, fail = [], [True]
+        start = threading.Thread.start
 
-        def scratch():
-            made.append(None)
-            if len(made) == 2:
-                raise MemoryError("scratch")
-            return []
+        def start_or_fail(self):
+            begun.append(self)
+            if fail and len(begun) == 2:
+                raise RuntimeError("can't start new thread")
+            start(self)
 
-        with pytest.raises(MemoryError, match="scratch"):
-            map_ordered(lambda x, buf: x, range(6), n=0, scratch=scratch)
-        assert started == []
+        monkeypatch.setattr(threading.Thread, "start", start_or_fail)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            map_ordered(lambda x: time.sleep(0.002) or x, range(6), n=0)
+        begun[0].join(timeout=30)  # the one started helper stops at the error
+        assert not begun[0].is_alive()
         assert parallel._helpers == 0
-        # a later map gets every helper slot
+        # a later map gets all three helper slots
+        begun.clear()
+        fail.clear()
         assert map_ordered(lambda x: time.sleep(0.002) or x, range(6), n=0) == list(range(6))
-        assert len(started) == 3
+        assert len(begun) == 3
         assert parallel._helpers == 0
 
     def test_thread_bound_across_nested_maps(self, cpus):

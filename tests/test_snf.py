@@ -162,6 +162,19 @@ class TestCdpStep:
         with pytest.raises(InvalidInput):
             cdp_step([np.eye(2)], [np.eye(2)])
 
+    @pytest.mark.parametrize(
+        "P, Q",
+        [
+            ([np.eye(3)] * 3, [np.eye(3)] * 2),
+            ([np.eye(3)] * 2, [np.eye(3)] * 3),
+            ([np.eye(4)] * 2, [np.eye(3)] * 2),
+        ],
+        ids=["kernel-short", "kernel-over", "kernel-smaller"],
+    )
+    def test_mismatched_operands(self, P, Q):
+        with pytest.raises(DimensionError):
+            cdp_step(P, Q)
+
 
 @pytest.mark.parametrize(
     "residuals, tol, limit, expected",

@@ -13,7 +13,7 @@ import io
 import sys
 from pathlib import Path
 
-from .errors import MultifuseError
+from .errors import InvalidParameter, MultifuseError
 from .pipeline import (
     EXPORT_FORMATS,
     WEIGHT_MODES,
@@ -42,6 +42,10 @@ METHOD_ALIASES = {
 
 #: Older spellings of ``--weights`` values, mapped onto ``WEIGHT_MODES``.
 WEIGHT_ALIASES = {"rv-pc": "rv-leading-eigenvector"}
+
+#: ``fuse`` flags that only SNF reads, and those that only the barycenters read.
+SNF_FLAGS = ("k", "epsilon")
+BARYCENTER_FLAGS = ("tol", "jitter", "weights")
 
 
 class NonConvergence(MultifuseError):
@@ -136,6 +140,9 @@ def _cmd_fuse(args) -> int:
         snf=_present(k=args.k, epsilon=args.epsilon, max_iter=args.max_iter),
         sma=_present(tol=args.tol, max_iter=args.max_iter, jitter=args.jitter),
     ))
+    for flag in BARYCENTER_FLAGS if method == "snf" else SNF_FLAGS:
+        if getattr(args, flag) is not None:
+            raise InvalidParameter(f"--{flag} does not apply to --method {args.method}")
     report = fuse_stages(cfg)
     result, layer = report.fusion[method], report.monoplexes[method]
 

@@ -16,7 +16,7 @@ import json
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from itertools import chain, compress, islice
+from itertools import chain, compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -551,16 +551,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
 
 
 def _write_text(path: Path, text: str):
-    _write_lines(path, (text,))
-
-
-def _write_lines(path: Path, lines):
-    """Write the strings of ``lines`` to ``path`` in UTF-8, joined a few thousand at a time."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = iter(lines)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        while batch := list(islice(lines, 4096)):
-            fh.write("".join(batch))
+    path.write_bytes(text.encode("utf-8"))
 
 
 #: A CSV field holding one of these characters is quoted.
@@ -685,11 +677,6 @@ def _upper(s: np.ndarray) -> np.ndarray:
     return s[k[:, None] <= k]
 
 
-def _texts17(chars: np.ndarray) -> np.ndarray:
-    """The rows of ``_chars17``'s result as a NumPy string array."""
-    return chars.astype(np.uint32).view(f"U{_WIDTH17}")[:, 0]
-
-
 #: Matrix cells gathered per block of rows by ``write_similarity_csv``.
 _BLOCK_CELLS = 1 << 16
 
@@ -700,9 +687,10 @@ def write_similarity_csv(path, layer: SimilarityLayer) -> np.ndarray:
     ``layer.S`` is exactly symmetric, so only its upper triangle, diagonal
     included, is formatted (``_chars17``), and each value is written in both
     of its cells: each block of rows is gathered from those fields and
-    written before the next is built.  Returns the upper triangle's texts,
-    row by row, from which ``_edges17`` takes the edge weights without
-    formatting them again.
+    written before the next is built.  Returns those fields, one
+    ``_chars17`` row per value of the upper triangle, row by row, from
+    which ``_write_edges`` takes the edge weights without formatting them
+    again.
     """
     n = layer.n
     fields = np.empty((n * (n + 1) // 2, _WIDTH17 + 1), np.uint8)  # each text, NUL padded, then ","
@@ -724,7 +712,7 @@ def write_similarity_csv(path, layer: SimilarityLayer) -> np.ndarray:
             rows = block.tobytes().translate(None, b"\0").split(b"\n")
             fh.write(b"".join(chain.from_iterable(zip(heads[start:start + len(i)], rows))))
         fh.write(b"\n")
-    return _texts17(fields[:, :-1])
+    return fields[:, :-1]
 
 
 def load_similarity_csv(path) -> SimilarityLayer:
@@ -758,61 +746,74 @@ def export_graph(layer: SimilarityLayer, partition, fmt: str, path, threshold: f
     """Write a similarity network as an edge list, GraphML, or matrix CSV.
 
     Edge formats keep pairs i < j with weight strictly above ``threshold``,
-    which must be finite.  GraphML nodes carry a ``community`` attribute when
-    a partition is given.
+    which must be finite, and are written by ``_write_edges``.  GraphML
+    nodes carry a ``community`` attribute when a partition is given.
     """
     if fmt not in EXPORT_FORMATS:
         raise InvalidParameter(f"unknown export format {fmt!r}")
     if not np.isfinite(threshold):
         raise InvalidParameter(f"threshold must be finite, got {threshold!r}")
     path = Path(path)
-    labels, s = layer.labels, layer.S
-    if partition is not None and partition.labels != labels:
+    if partition is not None and partition.labels != layer.labels:
         raise DimensionError("partition labels do not match the network")
 
     if fmt == "csv-matrix":
         write_similarity_csv(path, layer)
-        return path
-    edges = _edges17(s, _texts17(_chars17(_upper(s))), threshold)
-    if fmt == "edge-list":
-        _write_lines(path, _edge_list_lines(labels, edges))
     else:
-        _write_lines(path, _graphml_lines(labels, partition, edges))
+        _write_edges(path, fmt, layer, partition, threshold, _chars17(_upper(layer.S)))
     return path
 
 
-def _edges17(s: np.ndarray, upper: np.ndarray, threshold: float) -> list[tuple[int, int, str]]:
-    """The pairs i < j with ``s[i, j] > threshold``, each with its weight's text from ``upper``."""
-    iu, ju = np.triu_indices(s.shape[0])
-    keep = (iu < ju) & (s[iu, ju] > threshold)
-    return list(zip(iu[keep].tolist(), ju[keep].tolist(), compress(upper.tolist(), keep.tolist())))
+#: Edge lines joined per write by ``_write_edges``.
+_EDGE_BLOCK = 4096
 
 
-def _edge_list_lines(labels, edges):
-    fields = [_csv_field(lab) for lab in labels]
-    yield "source,target,weight\n"
-    for i, j, x in edges:
-        yield f"{fields[i]},{fields[j]},{x}\n"
+def _write_edges(path: Path, fmt: str, layer: SimilarityLayer, partition, threshold: float, chars: np.ndarray):
+    """Write the pairs i < j of ``layer`` with weight above ``threshold`` as an edge list or GraphML.
 
-
-def _graphml_lines(labels, partition, edges):
-    """GraphML laid out as ElementTree's indent() and tostring() lay it out."""
-    ids = [lab.translate(_XML_ATTR_ESCAPES) for lab in labels]
-    yield "<?xml version='1.0' encoding='utf-8'?>\n"
-    yield '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
-    yield '  <key attr.name="weight" attr.type="double" id="w" for="edge" />\n'
-    if partition is None:
-        yield '  <graph id="G" edgedefault="undirected">\n'
-        for x in ids:
-            yield f'    <node id="{x}" />\n'
+    ``chars`` holds the weights' texts: one ``_chars17`` row per value of
+    the upper triangle, diagonal included, row by row.  Each edge line is
+    its source node's piece, its target node's piece, its weight's text and
+    a fixed tail; the pieces are encoded once per label, and the lines are
+    joined and written ``_EDGE_BLOCK`` at a time.  GraphML is laid out as
+    ElementTree's indent() and tostring() lay it out.
+    """
+    if fmt == "edge-list":
+        src = dst = [_csv_field(lab) + "," for lab in layer.labels]
+        head, tail, foot = "source,target,weight\n", "\n", ""
     else:
-        yield '  <key attr.name="community" attr.type="int" id="c" for="node" />\n'
-        yield '  <graph id="G" edgedefault="undirected">\n'
-        for x, c in zip(ids, partition.community.tolist()):
-            yield f'    <node id="{x}">\n      <data key="c">{c}</data>\n    </node>\n'
-    for i, j, x in edges:
-        yield f'    <edge source="{ids[i]}" target="{ids[j]}">\n      <data key="w">{x}</data>\n    </edge>\n'
-    yield "  </graph>\n</graphml>\n"
+        ids = [lab.translate(_XML_ATTR_ESCAPES) for lab in layer.labels]
+        keys = '  <key attr.name="weight" attr.type="double" id="w" for="edge" />\n'
+        nodes = [f'    <node id="{x}" />\n' for x in ids]
+        if partition is not None:
+            keys += '  <key attr.name="community" attr.type="int" id="c" for="node" />\n'
+            nodes = [
+                f'    <node id="{x}">\n      <data key="c">{c}</data>\n    </node>\n'
+                for x, c in zip(ids, partition.community.tolist())
+            ]
+        head = (
+            "<?xml version='1.0' encoding='utf-8'?>\n"
+            '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
+            + keys + '  <graph id="G" edgedefault="undirected">\n' + "".join(nodes)
+        )
+        src = ['    <edge source="' + x + '" target="' for x in ids]
+        dst = [x + '">\n      <data key="w">' for x in ids]
+        tail, foot = "</data>\n    </edge>\n", "  </graph>\n</graphml>\n"
+    # object arrays: a bytes array would drop a label's trailing NULs
+    src, dst = (np.array([x.encode("utf-8") for x in pieces], object) for pieces in (src, dst))
+
+    n = layer.n
+    i, j = np.nonzero(np.triu(layer.S > threshold, 1))
+    k = i * n - i * (i + 1) // 2 + j  # chars[k] is the text of (i, j)
+    texts = chars.view(f"S{_WIDTH17}")[:, 0]  # each text without its NUL padding
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.write(head.encode("utf-8"))
+        for start in range(0, k.size, _EDGE_BLOCK):
+            block = slice(start, start + _EDGE_BLOCK)
+            lines = zip(src[i[block]], dst[j[block]], texts[k[block]], repeat(tail.encode("utf-8")))
+            fh.write(b"".join(chain.from_iterable(lines)))
+        fh.write(foot.encode("utf-8"))
 
 
 def _write_artifacts(out_dir: Path, report: RunReport, threshold: float):
@@ -823,12 +824,9 @@ def _write_artifacts(out_dir: Path, report: RunReport, threshold: float):
 
     for name, lay in report.monoplexes.items():
         # what export_graph writes for these two formats, from the matrix CSV's texts
-        edges = _edges17(lay.S, write_similarity_csv(out_dir / f"monoplex_{name}.csv", lay), threshold)
-        _write_lines(out_dir / f"edges_{name}.csv", _edge_list_lines(lay.labels, edges))
-        _write_lines(
-            out_dir / f"graph_{name}.graphml",
-            _graphml_lines(lay.labels, report.partitions[name], edges),
-        )
+        chars = write_similarity_csv(out_dir / f"monoplex_{name}.csv", lay)
+        _write_edges(out_dir / f"edges_{name}.csv", "edge-list", lay, None, threshold, chars)
+        _write_edges(out_dir / f"graph_{name}.graphml", "graphml", lay, report.partitions[name], threshold, chars)
 
     tables = report.weight_tables
     wrows = [["layer", *tables]]

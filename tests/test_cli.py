@@ -96,6 +96,24 @@ class TestFuse:
         assert capsys.readouterr().err == "error: [config: sma] tol must be positive\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("method, flag, value", [
+        ("snf", "--tol", "5"), ("snf", "--jitter", "2"), ("snf", "--weights", "uniform"),
+        ("sma-f", "--k", "5"), ("sma-w", "--epsilon", "3"),
+    ])
+    def test_flag_the_method_does_not_read(self, tmp_path, capsys, method, flag, value):
+        out = tmp_path / "out"
+        args = ["fuse", "--method", method, "--inputs", *inputs(), flag, value, "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {flag} does not apply to --method {method}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["snf", "sma-f"])
+    def test_max_iter_applies_to_both_families(self, tmp_path, method):
+        out = tmp_path / "out"
+        args = ["fuse", "--method", method, "--inputs", *inputs(), "--max-iter", "50", "--out", str(out)]
+        assert main(args) == 0
+        assert (out / "fuse_report.json").is_file()
+
     def test_non_ascii_ids_under_ascii_locale(self, tmp_path):
         a = tmp_path / "a.csv"
         a.write_bytes("entity,s1,s2\nspü1,1.0,0.5\nx,0.2,0.9\ny,0.7,0.1\n".encode())

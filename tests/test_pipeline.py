@@ -268,9 +268,14 @@ class TestFormatting:
             dumps_json17({"x": object()})
 
 
+def decode17(chars):
+    """The texts of ``_chars17``'s rows, each without its NUL padding."""
+    return [x.decode("ascii") for x in chars.view(f"S{pipeline._WIDTH17}")[:, 0].tolist()]
+
+
 def texts17(values):
     """What the array formatter renders each of ``values`` as."""
-    return pipeline._texts17(pipeline._chars17(np.asarray(values, dtype=float))).tolist()
+    return decode17(pipeline._chars17(np.asarray(values, dtype=float)))
 
 
 def reference17(values):
@@ -325,7 +330,7 @@ class TestArrayFormatter:
         path = tmp_path / "m.csv"
         upper = write_similarity_csv(path, layer)
         assert path.read_bytes() == similarity_csv_reference(layer.labels, layer.S).encode("utf-8")
-        assert upper.tolist() == reference17(layer.S[np.triu_indices(6)])
+        assert decode17(upper) == reference17(layer.S[np.triu_indices(6)])
 
     def test_rbf_layer_over_several_row_blocks(self, tmp_path):
         # 401 rows are gathered in blocks of 163, so the last block is short
@@ -408,7 +413,7 @@ class TestExport:
 
 
 #: Label characters that need CSV quoting, XML escaping, or neither.
-LABEL_CHARS = 'ab ,"&<>\t\r\nü%'
+LABEL_CHARS = 'ab ,"&<>\t\r\n\0ü%'
 TRICKY = ("a,b", 'q"q', "&<>", "t\tb", "c\rr", "n\nl", "spü1", "50%")
 SPECIAL_VALUES = (0.0, -0.0, 0.1, 1e-300, 5e-324, 1.0 / 3.0, 1.0)
 labels_st = st.lists(st.text(LABEL_CHARS, max_size=4), min_size=1, max_size=6, unique=True)
@@ -469,7 +474,7 @@ class TestWritersMatchReference:
         upper = write_similarity_csv(path, layer)
         assert path.read_bytes() == similarity_csv_reference(layer.labels, layer.S).encode("utf-8")
         # the texts returned for the edge files are the upper triangle's, as fmt17 renders them
-        assert upper.tolist() == [fmt17(x) for x in layer.S[np.triu_indices(layer.n)]]
+        assert decode17(upper) == [fmt17(x) for x in layer.S[np.triu_indices(layer.n)]]
 
     @pytest.mark.parametrize("fmt", pipeline.EXPORT_FORMATS)
     @settings(deadline=None, max_examples=60)
@@ -496,6 +501,20 @@ class TestWritersMatchReference:
     def test_single_node(self, tmp_path, fmt, community):
         self.check_export(tmp_path / "out", ('a"&ü',), np.array([[1.0]]), community, fmt, 0.0)
 
+    @pytest.mark.parametrize("fmt", ["edge-list", "graphml"])
+    def test_several_edge_blocks(self, tmp_path, fmt):
+        n = 120
+        labels = [f"{TRICKY[i % len(TRICKY)]}{i}" for i in range(n)]
+        rng = np.random.default_rng(6)
+        s = rng.random((n, n))
+        s = (s + s.T) / 2
+        s[::7, ::5] = s[::5, ::7] = 1.0 / 3.0
+        np.fill_diagonal(s, 1.0)
+        # the threshold drops some pairs and keeps two blocks of edges, the last one short
+        kept = np.count_nonzero(np.triu(s > 0.2, 1))
+        assert pipeline._EDGE_BLOCK < kept < min(2 * pipeline._EDGE_BLOCK, n * (n - 1) // 2)
+        self.check_export(tmp_path / "out", labels, s, np.arange(n) % 4, fmt, 0.2)
+
 
 class TestRunPipeline:
     def paths(self):
@@ -518,6 +537,20 @@ class TestRunPipeline:
         assert louvain_communities(table).labels == table.labels
         export_graph(table, None, "edge-list", tmp_path / "dcor_edges.csv")
         assert (tmp_path / "dcor_edges.csv").read_text().startswith("source,target,weight\n")
+
+    def test_edge_files_are_the_monoplexes_exported(self, tmp_path):
+        out = tmp_path / "out"
+        report = run_pipeline(PipelineConfig(inputs=self.paths(), output_dir=str(out), export_threshold=0.3))
+        kept = []
+        for name, partition in report.partitions.items():
+            layer = load_similarity_csv(out / f"monoplex_{name}.csv")
+            assert partition.labels == layer.labels
+            for fmt, path in (("edge-list", out / f"edges_{name}.csv"), ("graphml", out / f"graph_{name}.graphml")):
+                expected = export_graph_reference(layer.labels, layer.S, partition.community, fmt, 0.3)
+                assert path.read_bytes() == expected.encode("utf-8")
+            kept.append(np.count_nonzero(np.triu(layer.S > 0.3, 1)))
+        # the threshold drops some edges of some monoplexes, and no monoplex loses all of them
+        assert len(kept) == 4 and 0 < min(kept) < layer.n * (layer.n - 1) // 2
 
     def test_uniform_weights_mode(self, tmp_path):
         cfg = PipelineConfig(

@@ -9,6 +9,7 @@ Standard output is UTF-8 whatever the locale, like the artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import sys
 from pathlib import Path
@@ -63,7 +64,9 @@ def _sigma_arg(value: str):
         raise argparse.ArgumentTypeError("sigma must be a number or 'auto'") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="multifuse",
         description="Build, fuse and analyse multiplex similarity networks.",

@@ -1,12 +1,14 @@
 """Independent per-item work on several CPUs, with results in input order.
 
 ``map_ordered`` is the one place that starts threads.  The solvers spend
-their time in LAPACK and BLAS calls, which release the interpreter lock, so
-whole fusion methods, and the per-layer products and matrix functions of one
-solver step, can run on more than one CPU.  One slot counter bounds the
-helper threads of the whole process, whichever thread starts a map.  The
-caller adds the per-layer terms in index order after collecting them, so no
-result depends on thread scheduling.
+their time in LAPACK and BLAS calls, and the per-layer kernels and writers
+in NumPy calls, which release the interpreter lock, so whole fusion methods,
+the per-layer stages of a run, and the per-layer products and matrix
+functions of one solver step can run on more than one CPU.  One slot counter
+bounds the threads that run items across the whole process, whichever
+thread starts a map: a caller that waits for its helpers lends its slot to
+maps nested inside them.  The caller adds the per-layer terms in index order
+after collecting them, so no result depends on thread scheduling.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ __all__ = ["MIN_THREADED_N", "map_ordered"]
 #: the ``eigh`` maps of the metric means break even lower, near n = 48.
 MIN_THREADED_N = 96
 
-_lock = threading.Lock()
-_helpers = 0  # helper threads alive in this process, across every map
+_slots = threading.Condition()
+_helpers = 0  # slots in use by helper threads, less those lent by waiting callers
 
 
 def _cpu_count() -> int:
@@ -38,7 +40,7 @@ def _cpu_count() -> int:
 def _claim(wanted: int) -> int:
     """Reserve up to ``wanted`` of the ``_cpu_count() - 1`` helper slots; returns how many."""
     global _helpers
-    with _lock:
+    with _slots:
         got = max(0, min(wanted, _cpu_count() - 1 - _helpers))
         _helpers += got
     return got
@@ -46,19 +48,31 @@ def _claim(wanted: int) -> int:
 
 def _release(count: int):
     global _helpers
-    with _lock:
+    with _slots:
         _helpers -= count
+        _slots.notify_all()
+
+
+def _reclaim():
+    """Wait for a free slot and take it: a caller that lent its CPU takes it back."""
+    global _helpers
+    with _slots:
+        _slots.wait_for(lambda: _helpers < _cpu_count() - 1)
+        _helpers += 1
 
 
 def map_ordered(fn, items, n: int) -> list:
     """``[fn(x) for x in items]``, on the calling thread and free helper threads.
 
     ``n`` is the node count of the matrices the work is on.  The map runs
-    inline when ``n < MIN_THREADED_N`` or when no helper slot is free: the
-    process holds at most ``CPUs - 1`` helper threads, however deeply maps
-    nest, and the calling thread takes part.  A map called on a helper
-    thread claims free slots like any other; it joins only the helpers it
-    started, so nested maps cannot wait on one another in a cycle.
+    inline when ``n < MIN_THREADED_N`` or when no helper slot is free.  The
+    calling thread takes part; once no item is left to start, it lends its
+    CPU as a free slot to maps nested in the items its helpers still run,
+    and after joining them waits for a free slot before it goes on.  So at
+    most ``CPUs`` threads run items at any moment, however deeply maps nest,
+    counting the thread that started the outermost map.  A map called on a
+    helper thread claims free slots like any other; it joins only the
+    helpers it started, so nested maps cannot wait on one another in a cycle.
 
     When items raise, no further item starts, and the error of the lowest
     index is raised, as an inline loop would raise it.  Helpers are daemon
@@ -107,8 +121,12 @@ def map_ordered(fn, items, n: int) -> list:
         raise
     finally:
         _release(helpers - started)
-    for t in threads:
-        t.join()
+    _release(1)  # lend this thread's CPU while it waits
+    try:
+        for t in threads:
+            t.join()
+    finally:
+        _reclaim()
     if errors:
         raise errors[min(errors)]
     return results

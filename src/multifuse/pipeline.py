@@ -16,7 +16,8 @@ import json
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from itertools import chain, compress, repeat
+from functools import partial
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -431,14 +432,14 @@ class RunReport:
 
 
 def build_layers(tables, sigma: float | None = None) -> tuple[Multiplex, dict[str, float]]:
-    """RBF similarity layer per abundance table (site profiles as features)."""
-    layers = []
-    sigmas = {}
-    for t in tables:
-        layer, sigmas[t.name] = rbf_layer(t, sigma)
-        layers.append(layer)
-    mx = Multiplex(tuple(layers), tuple(t.name for t in tables))
-    return mx, sigmas
+    """RBF similarity layer per abundance table (site profiles as features).
+
+    Each table is one item of ``map_ordered``.
+    """
+    tables = list(tables)
+    built = map_ordered(lambda t: rbf_layer(t, sigma), tables, len(tables[0].labels) if tables else 0)
+    mx = Multiplex(tuple(layer for layer, _ in built), tuple(t.name for t in tables))
+    return mx, {t.name: s for t, (_, s) in zip(tables, built)}
 
 
 def fuse_method(
@@ -681,23 +682,42 @@ def _upper(s: np.ndarray) -> np.ndarray:
 _BLOCK_CELLS = 1 << 16
 
 
+def _padded(pieces: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """``pieces`` as rows of bytes padded to one width, and which bytes of each row are its piece's.
+
+    The second array keeps a piece whole, NUL bytes included, when rows are
+    written without their NUL padding.
+    """
+    width = max(1, *map(len, pieces))
+    rows = np.array(pieces, f"S{width}").view(np.uint8).reshape(len(pieces), width)
+    return rows, np.arange(width) < np.array([len(x) for x in pieces])[:, None]
+
+
+def _write_kept(fh, columns):
+    """Write rows made of ``columns``, ``(bytes, kept)`` pairs of one height, with only their kept bytes."""
+    rows = np.concatenate([b for b, _ in columns], axis=1)
+    kept = np.concatenate([k for _, k in columns], axis=1)
+    fh.write(rows[kept])
+
+
 def write_similarity_csv(path, layer: SimilarityLayer) -> np.ndarray:
     """Write ``layer`` as a labelled full-matrix CSV with 17-significant-digit values.
 
     ``layer.S`` is exactly symmetric, so only its upper triangle, diagonal
     included, is formatted (``_chars17``), and each value is written in both
-    of its cells: each block of rows is gathered from those fields and
-    written before the next is built.  Returns those fields, one
-    ``_chars17`` row per value of the upper triangle, row by row, from
-    which ``_write_edges`` takes the edge weights without formatting them
-    again.
+    of its cells.  Each block of rows is gathered as bytes, each row's label
+    and then its fields, and written without their NUL padding before the
+    next is built; this runs in NumPy calls, which let other threads run.
+    Returns the fields, one ``_chars17`` row per value of the upper
+    triangle, row by row, from which ``_write_edges`` takes the edge weights
+    without formatting them again.
     """
     n = layer.n
     fields = np.empty((n * (n + 1) // 2, _WIDTH17 + 1), np.uint8)  # each text, NUL padded, then ","
     fields[:, :-1] = _chars17(_upper(layer.S))
     fields[:, -1] = ord(",")
     labels = [_csv_field(lab).encode("utf-8") for lab in layer.labels]
-    heads = [b"\n" + lab + b"," for lab in labels]  # each row's start
+    heads, head_kept = _padded([b"\n" + lab + b"," for lab in labels])  # each row's start
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
@@ -707,10 +727,10 @@ def write_similarity_csv(path, layer: SimilarityLayer) -> np.ndarray:
         step = max(1, _BLOCK_CELLS // n)
         for start in range(0, n, step):
             i = j[start:start + step, None]
-            block = np.take(fields, before[np.minimum(i, j)] + np.maximum(i, j), axis=0)
-            block[:, -1, -1] = ord("\n")
-            rows = block.tobytes().translate(None, b"\0").split(b"\n")
-            fh.write(b"".join(chain.from_iterable(zip(heads[start:start + len(i)], rows))))
+            cells = np.take(fields, before[np.minimum(i, j)] + np.maximum(i, j), axis=0).reshape(len(i), -1)
+            cells[:, -1] = 0  # the row's last "," goes with the padding
+            block = slice(start, start + step)
+            _write_kept(fh, [(heads[block], head_kept[block]), (cells, cells != 0)])
         fh.write(b"\n")
     return fields[:, :-1]
 
@@ -775,7 +795,8 @@ def _write_edges(path: Path, fmt: str, layer: SimilarityLayer, partition, thresh
     the upper triangle, diagonal included, row by row.  Each edge line is
     its source node's piece, its target node's piece, its weight's text and
     a fixed tail; the pieces are encoded once per label, and the lines are
-    joined and written ``_EDGE_BLOCK`` at a time.  GraphML is laid out as
+    gathered as bytes and written ``_EDGE_BLOCK`` at a time, in NumPy calls
+    as ``write_similarity_csv`` writes its rows.  GraphML is laid out as
     ElementTree's indent() and tostring() lay it out.
     """
     if fmt == "edge-list":
@@ -799,34 +820,47 @@ def _write_edges(path: Path, fmt: str, layer: SimilarityLayer, partition, thresh
         src = ['    <edge source="' + x + '" target="' for x in ids]
         dst = [x + '">\n      <data key="w">' for x in ids]
         tail, foot = "</data>\n    </edge>\n", "  </graph>\n</graphml>\n"
-    # object arrays: a bytes array would drop a label's trailing NULs
-    src, dst = (np.array([x.encode("utf-8") for x in pieces], object) for pieces in (src, dst))
+    (src, src_kept), (dst, dst_kept) = (_padded([x.encode("utf-8") for x in pieces]) for pieces in (src, dst))
+    tail = np.frombuffer(tail.encode("utf-8"), np.uint8)
 
     n = layer.n
     i, j = np.nonzero(np.triu(layer.S > threshold, 1))
     k = i * n - i * (i + 1) // 2 + j  # chars[k] is the text of (i, j)
-    texts = chars.view(f"S{_WIDTH17}")[:, 0]  # each text without its NUL padding
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(head.encode("utf-8"))
         for start in range(0, k.size, _EDGE_BLOCK):
             block = slice(start, start + _EDGE_BLOCK)
-            lines = zip(src[i[block]], dst[j[block]], texts[k[block]], repeat(tail.encode("utf-8")))
-            fh.write(b"".join(chain.from_iterable(lines)))
+            a, b, texts = i[block], j[block], chars[k[block]]
+            ends = np.broadcast_to(tail, (a.size, tail.size))
+            _write_kept(fh, [
+                (src[a], src_kept[a]), (dst[b], dst_kept[b]), (texts, texts != 0), (ends, np.ones(ends.shape, bool))
+            ])
         fh.write(foot.encode("utf-8"))
 
 
 def _write_artifacts(out_dir: Path, report: RunReport, threshold: float):
+    """Write every artifact of ``report``.
+
+    Each method's matrix CSV with its two edge files, which reuse its
+    texts, is one item of ``map_ordered``, and so is each layer's matrix
+    CSV; the other artifacts follow on the calling thread.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    for name, lay in zip(report.multiplex.names, report.multiplex.layers):
-        write_similarity_csv(out_dir / "layers" / f"{name}.csv", lay)
-
-    for name, lay in report.monoplexes.items():
+    def write_monoplex(name, lay):
         # what export_graph writes for these two formats, from the matrix CSV's texts
         chars = write_similarity_csv(out_dir / f"monoplex_{name}.csv", lay)
         _write_edges(out_dir / f"edges_{name}.csv", "edge-list", lay, None, threshold, chars)
         _write_edges(out_dir / f"graph_{name}.graphml", "graphml", lay, report.partitions[name], threshold, chars)
+
+    # the longest items first, so that no thread is left with one at the end
+    jobs = [partial(write_monoplex, name, lay) for name, lay in report.monoplexes.items()]
+    jobs += [
+        partial(write_similarity_csv, out_dir / "layers" / f"{name}.csv", lay)
+        for name, lay in zip(report.multiplex.names, report.multiplex.layers)
+    ]
+    map_ordered(lambda job: job(), jobs, report.multiplex.n)
 
     tables = report.weight_tables
     wrows = [["layer", *tables]]

@@ -143,7 +143,8 @@ def rv_matrix(layers) -> np.ndarray:
 
     ``r_ij = <S_i, S_j>_F / (||S_i||_F ||S_j||_F)``; by Cauchy-Schwarz this
     never exceeds one, so roundoff above 1 is clipped.  The diagonal is set
-    to exactly one.
+    to exactly one.  The products of each layer with the later ones are one
+    item of ``map_ordered``.
     """
     _, mats = _coerce_layers(layers)
     m = len(mats)
@@ -152,11 +153,13 @@ def rv_matrix(layers) -> np.ndarray:
     norms = np.array([fro_norm(s) for s in mats])
     if norms.min() == 0.0:
         raise InvalidInput("RV coefficient is undefined for an all-zero layer")
+    rows = map_ordered(
+        lambda i: [float(np.sum(mats[i] * mats[j])) for j in range(i + 1, m)], range(m), mats[0].shape[0]
+    )
     r = np.ones((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            val = float(np.sum(mats[i] * mats[j])) / (norms[i] * norms[j])
-            r[i, j] = r[j, i] = min(val, 1.0)
+    for i, row in enumerate(rows):
+        for j, dot in enumerate(row, start=i + 1):
+            r[i, j] = r[j, i] = min(dot / (norms[i] * norms[j]), 1.0)
     return r
 
 

@@ -146,36 +146,56 @@ def local_normalize(S, k: int) -> np.ndarray:
     n = m.shape[0]
     if not 1 <= k <= n - 1:
         raise InvalidParameter(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
-    # Stable sort on the negated similarities: ties keep index order.
-    order = np.argsort(-m, axis=1, kind="stable")
-    nbrs = order[order != np.arange(n)[:, None]].reshape(n, n - 1)[:, :k]
-    vals = np.take_along_axis(m, nbrs, axis=1)
-    total = vals.sum(axis=1, keepdims=True)
-    scaled = np.divide(vals, total, out=np.zeros_like(vals), where=total > 0)
-    q = np.zeros_like(m)
-    np.put_along_axis(q, nbrs, scaled, axis=1)
-    return q
+    # Negated, so that the k most similar come first; +inf keeps a node out
+    # of its own neighbourhood.
+    d = -m
+    np.fill_diagonal(d, np.inf)
+    part = np.partition(d, k - 1, axis=1)
+    # A row's sum runs over its k values in descending order of similarity,
+    # as a stable sort would list them; negation commutes with rounding.
+    total = -np.sort(part[:, :k], axis=1).sum(axis=1, keepdims=True)
+    # The k-th value's ties fill the places left, smallest indices first.
+    kth = part[:, k - 1, None]
+    nbrs = d < kth
+    ties = d == kth
+    left = k - np.count_nonzero(nbrs, axis=1, keepdims=True)
+    nbrs |= ties & (np.cumsum(ties, axis=1) <= left)
+    return np.divide(m, total, out=np.zeros_like(m), where=nbrs & (total > 0))
 
 
-def cdp_step(P: list[np.ndarray], Q: list[np.ndarray]) -> list[np.ndarray]:
+def _owner(a: np.ndarray):
+    """The object that holds the memory of ``a``: ``a`` itself, or the root of its views."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a if a.base is None else a.base
+
+
+def cdp_step(P: list[np.ndarray], Q: list[np.ndarray], out: list[np.ndarray] | None = None) -> list[np.ndarray]:
     """One simultaneous cross-diffusion update of all layers.
 
     ``P`` holds the status matrices and ``Q`` the fixed kernels, one per
     layer, all of one shape.  Every layer's new status is computed from the
     old ``P``, then symmetrized (the update rule is not exactly
-    symmetry-preserving in floating point).  The layers are updated through
-    ``map_ordered``; each update allocates only its running sum and writes
-    its products into an output allocated here.
+    symmetry-preserving in floating point).  The new statuses are written
+    into ``out``, which is returned: one array per layer, none of them an
+    array of ``P`` or ``Q`` or a view of the memory one of those views.
+    Without ``out``, they go to new arrays.  The layers are updated through
+    ``map_ordered``, and each update allocates only its running sum.
     """
     m = len(P)
     if m < 2:
         raise InvalidInput("cross diffusion needs at least two layers")
     if len(Q) != m:
         raise DimensionError(f"expected {m} kernels, got {len(Q)}")
+    if out is None:
+        out = [np.empty_like(p) for p in P]
+    elif len(out) != m:
+        raise DimensionError(f"expected {m} output arrays, got {len(out)}")
     shape = P[0].shape
-    if any(x.shape != shape for x in (*P, *Q)):
-        raise DimensionError(f"every status matrix and kernel must have shape {shape}")
-    new_p = [np.empty_like(p) for p in P]
+    if any(x.shape != shape for x in (*P, *Q, *out)):
+        raise DimensionError(f"every status matrix, kernel and output must have shape {shape}")
+    if {id(_owner(o)) for o in out} & {id(_owner(x)) for x in (*P, *Q)}:
+        raise DimensionError("an output array is, or views, a status matrix or kernel")
 
     def update(l):
         # Sum the other layers in index order and in place: total - own
@@ -185,13 +205,13 @@ def cdp_step(P: list[np.ndarray], Q: list[np.ndarray]) -> list[np.ndarray]:
             if h != l:
                 others += P[h]
         others /= m - 1
-        np.matmul(Q[l], others, out=new_p[l])
-        np.matmul(new_p[l], Q[l].T, out=others)
-        np.add(others, others.T, out=new_p[l])
-        new_p[l] /= 2.0
+        np.matmul(Q[l], others, out=out[l])
+        np.matmul(out[l], Q[l].T, out=others)
+        np.add(others, others.T, out=out[l])
+        out[l] /= 2.0
 
     map_ordered(update, range(m), shape[0])
-    return new_p
+    return out
 
 
 def _reweight(fused: np.ndarray) -> np.ndarray:
@@ -212,6 +232,9 @@ def snf_fuse(layers: Multiplex, cfg: SnfConfig | None = None) -> FusionResult:
     Iterates ``cdp_step`` until the largest per-layer Frobenius change is at
     most ``cfg.epsilon`` or ``cfg.max_iter`` steps have run.  Hitting the
     iteration cap is reported through ``converged=False``, not an exception.
+    The layers' kernels and changes go through ``map_ordered``, as the
+    updates of ``cdp_step`` do, and the steps write into two lists of
+    status matrices in turn.
     """
     cfg = cfg or SnfConfig()
     if layers.m < 2:
@@ -220,20 +243,21 @@ def snf_fuse(layers: Multiplex, cfg: SnfConfig | None = None) -> FusionResult:
         raise InvalidInput(f"fusion needs at least two nodes, got {layers.n}")
     k = cfg.k if cfg.k is not None else default_k(layers.n)
 
-    Q = [local_normalize(lay, k) for lay in layers]
+    Q = map_ordered(lambda lay: local_normalize(lay, k), layers, layers.n)
 
     # Rows whose k nearest neighbours all have zero similarity.
     dead = {name: np.flatnonzero(q.sum(axis=1) == 0).tolist() for name, q in zip(layers.names, Q)}
     dead = {name: rows for name, rows in dead.items() if rows}
 
     def diffuse(P):
+        spare = [np.empty_like(p) for p in P]
         while True:
-            new_p = cdp_step(P, Q)
-            yield max(fro_norm(new - old) for new, old in zip(new_p, P)), new_p
-            P = new_p
+            new_p = cdp_step(P, Q, out=spare)
+            yield max(map_ordered(lambda l: fro_norm(new_p[l] - P[l]), range(len(P)), layers.n)), new_p
+            P, spare = new_p, P
 
     # The residual follows each step, so max_iter residuals mean max_iter steps.
-    # Only the generator holds the initial status matrices, so a step frees them.
+    # The state of the last step taken is not written again, as no step follows it.
     P, history, converged = iterate(
         diffuse([global_normalize(lay) for lay in layers]), cfg.epsilon, cfg.max_iter
     )

@@ -608,6 +608,19 @@ class TestRun:
         assert capsys.readouterr().err.startswith("error: [stage load] ")
 
 
+class TestParser:
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        cli.build_parser.cache_clear()
+        assert main(command_args("run", tmp_path, inputs())) == 0
+        fuse = ["fuse", "--inputs", *inputs(), "--out", str(tmp_path / "fused")]
+        assert main(fuse + ["--method", "snf", "--tol", "1"]) == 2
+        assert capsys.readouterr().err == "error: --tol does not apply to --method snf\n"
+        # each call reads only its own flags: neither --tol nor --k carries over
+        assert main(fuse + ["--method", "snf", "--k", "2"]) == 0
+        assert main(fuse + ["--method", "sma-f"]) == 0
+        assert cli.build_parser.cache_info().misses == 1
+
+
 class TestExitStatus:
     class Unlisted(MultifuseError):
         pass

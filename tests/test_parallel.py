@@ -121,6 +121,44 @@ class TestMapOrdered:
         assert inner_threads[x] - {outer_thread[x]}  # a helper of the helper took part
         assert parallel._helpers == 0
 
+    def test_waiting_caller_lends_its_slot(self, cpus):
+        # two CPUs, so one helper slot, which the outer map's helper holds
+        cpus(2)
+        gate = threading.Barrier(2, timeout=30)
+        inner_gate = threading.Barrier(2, timeout=5)
+        caller = threading.current_thread()
+
+        def inner(y):
+            inner_gate.wait()  # both items run at once, so the inner map has a helper
+            return y
+
+        def outer(x):
+            gate.wait()  # both items run at once, one on the helper
+            if threading.current_thread() is caller:
+                return None
+            deadline = time.monotonic() + 5
+            while parallel._helpers and time.monotonic() < deadline:
+                time.sleep(0.001)  # until the caller has nothing left to run and waits
+            return map_ordered(inner, range(2), n=0)
+
+        assert map_ordered(outer, range(2), n=0) in ([None, [0, 1]], [[0, 1], None])
+        assert parallel._helpers == 0
+
+    def test_returning_caller_waits_for_a_free_slot(self, cpus):
+        # the caller lent its slot, and another map holds it: it waits for a helper to end
+        cpus(2)
+        assert parallel._claim(1) == 1
+        back = threading.Event()
+        caller = threading.Thread(target=lambda: (parallel._reclaim(), back.set()))
+        caller.start()
+        assert not back.wait(0.2)
+        parallel._release(1)
+        assert back.wait(30)
+        caller.join(timeout=30)
+        assert not caller.is_alive()
+        parallel._release(1)
+        assert parallel._helpers == 0
+
     def test_failing_thread_start_releases_the_slots(self, cpus, monkeypatch):
         cpus(4)
         begun, fail = [], [True]
@@ -172,7 +210,9 @@ class TestMapOrdered:
                 assert parallel._helpers == 0  # every slot claimed was released
         finally:
             sys.setswitchinterval(interval)
-        assert most[0] <= 6  # the calling thread and five helpers
+        # threads running items: the calling thread and five helpers, or more
+        # helpers while callers that wait for theirs run no item
+        assert most[0] <= 6
 
 
 class TestSolversThreadedEqualInline:

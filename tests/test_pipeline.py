@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multifuse import parallel, pipeline
+from multifuse import parallel, pipeline, sma, snf
 from multifuse.errors import (
     DegenerateSpectrum,
     DimensionError,
@@ -857,26 +857,47 @@ class TestConcurrentFusion:
         assert tuple(report.fusion) == pipeline.ALL_METHODS
 
     def test_thread_bound_holds_under_fuse_all(self, tmp_path, monkeypatch):
-        # three CPUs: two helpers for four methods, and none left for a per-layer map,
-        # on any thread, until a method's helper finishes
+        # three CPUs: at most three threads run items of the maps that fuse the
+        # methods and of their per-layer maps; a caller waiting for its helpers
+        # runs no item and lends its slot
         monkeypatch.setattr(parallel, "_cpu_count", lambda: 3)
         monkeypatch.setattr(parallel, "MIN_THREADED_N", 0)
-        alive, most = [], [0]
         lock = threading.Lock()
+        inside = {}  # thread id -> what it is in, innermost last: True for an item, False for a map
+        most, on_helpers = [0], []
 
-        class Counted(threading.Thread):
-            def run(self):
-                with lock:
-                    alive.append(self)
-                    most[0] = max(most[0], len(alive))
+        def move(step):
+            with lock:
+                step(inside.setdefault(threading.get_ident(), []))
+                most[0] = max(most[0], sum(1 for s in inside.values() if s and s[-1]))
+
+        def counted(real):
+            def map_ordered(fn, items, n):
+                def item(x):
+                    move(lambda s: s.append(True))
+                    on_helpers.append(threading.current_thread() is not threading.main_thread())
+                    try:
+                        return fn(x)
+                    finally:
+                        move(list.pop)
+
+                move(lambda s: s.append(False))
                 try:
-                    super().run()
+                    return real(item, items, n)
                 finally:
-                    with lock:
-                        alive.remove(self)
+                    move(list.pop)
 
-        monkeypatch.setattr(threading, "Thread", Counted)
-        report = run_pipeline(PipelineConfig(inputs=self.paths(), output_dir=str(tmp_path / "out")))
+            return map_ordered
+
+        for module in (pipeline, snf, sma):
+            monkeypatch.setattr(module, "map_ordered", counted(parallel.map_ordered))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = run_pipeline(PipelineConfig(inputs=self.paths(), output_dir=str(tmp_path / "out")))
+        finally:
+            sys.setswitchinterval(interval)
         assert tuple(report.fusion) == pipeline.ALL_METHODS
-        assert 1 <= most[0] <= 2
+        assert any(on_helpers)
+        assert 1 <= most[0] <= 3
         assert parallel._helpers == 0

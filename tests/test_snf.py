@@ -50,6 +50,14 @@ def fixture_multiplex():
     return Multiplex((layer(FIX_S1, LABELS3), layer(FIX_S2, LABELS3)))
 
 
+def rbf_with_duplicates(n, seed=0, sites=20):
+    """An RBF layer over n entities, a fifth of which repeat others' rows: ties at every distance."""
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(0.0, 10.0, (n, sites))
+    rows[n // 2:n // 2 + n // 5] = rows[:n // 5]
+    return rbf_similarity(FeatureTable(tuple(f"n{i}" for i in range(n)), rows))
+
+
 class TestGlobalNormalize:
     def test_uniform(self):
         assert np.array_equal(global_normalize(np.ones((2, 2))), np.full((2, 2), 0.25))
@@ -114,6 +122,21 @@ class TestLocalNormalize:
         q = local_normalize(s, 1)
         assert np.array_equal(q, np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("n, k", [(400, 133), (1000, 333)])
+    def test_large_layer_with_ties_matches_row_loop(self, n, k):
+        s = rbf_with_duplicates(n)
+        ranked = -np.sort(-s.S[~np.eye(n, dtype=bool)].reshape(n, n - 1), axis=1)
+        assert (ranked[:, k - 1] == ranked[:, k]).any()  # a tie at the k-th value decides
+        assert np.array_equal(local_normalize(s, k), local_normalize_reference(s.S, k))
+
+    @pytest.mark.parametrize("k", [1, 6, 11])
+    def test_diagonal_at_the_row_minimum(self, k):
+        rng = np.random.default_rng(4)
+        m = rng.uniform(0.5, 1.0, (12, 12))
+        m = (m + m.T) / 2
+        np.fill_diagonal(m, 0.25)  # each node is its own least similar node
+        assert np.array_equal(local_normalize(m, k), local_normalize_reference(m, k))
+
 
 @st.composite
 def tied_matrix_and_k(draw):
@@ -157,6 +180,24 @@ class TestCdpStep:
         p = [(x + x.T) / 2 for x in p]
         out = cdp_step([x.copy() for x in p], [np.eye(3)] * 3)
         assert np.allclose(out[0], (p[1] + p[2]) / 2, atol=1e-15)
+
+    def test_output_given_matches_reference_bytes(self):
+        mats = [rbf_with_duplicates(120, seed) for seed in range(4)]
+        p = [global_normalize(s) for s in mats]
+        q = [local_normalize(s, 40) for s in mats]
+        out = [np.full_like(x, np.nan) for x in p]
+        got = cdp_step(p, q, out=out)
+        assert got is out
+        for a, b in zip(got, cdp_step_reference(p, q)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("alias", [lambda p, q: p[1], lambda p, q: p[0][:, ::-1], lambda p, q: q[0]],
+                             ids=["status", "status-view", "kernel"])
+    def test_output_sharing_an_operand(self, alias):
+        p = [global_normalize(s) for s in (FIX_S1, FIX_S2)]
+        q = [local_normalize(s, 1) for s in (FIX_S1, FIX_S2)]
+        with pytest.raises(DimensionError):
+            cdp_step(p, q, out=[np.empty((3, 3)), alias(p, q)])
 
     def test_needs_two_layers(self):
         with pytest.raises(InvalidInput):
@@ -247,6 +288,14 @@ class TestSnfFuse:
             want = max(np.linalg.norm(a - b, "fro") for a, b in zip(new_p, p))
             assert abs(got - want) <= 1e-15
             p = new_p
+
+    def test_repeated_fusion_gives_equal_bytes(self):
+        # n = 120 maps the kernels and the updates; the steps reuse two lists of status matrices
+        mx = Multiplex(tuple(rbf_with_duplicates(120, seed) for seed in range(5)))
+        first, second = snf_fuse(mx), snf_fuse(mx)
+        assert first.iterations > 2
+        assert np.array_equal(first.matrix, second.matrix)
+        assert first.residual_history == second.residual_history
 
     def test_nonconvergence_is_flagged_not_raised(self):
         res = snf_fuse(fixture_multiplex(), SnfConfig(k=2, epsilon=1e-15, max_iter=2))

@@ -39,7 +39,7 @@ from .netanalysis import (
     louvain_communities,
 )
 from .parallel import map_ordered
-from .simbuild import FeatureTable, Multiplex, SimilarityLayer, rbf_layer
+from .simbuild import FeatureTable, Multiplex, SimilarityLayer, rbf_layer, text_fault
 from .sma import (
     BarycenterConfig,
     rv_matrix,
@@ -177,25 +177,21 @@ def _parse_abundance_csv(path: Path) -> FeatureTable:
         raise ParseError(f"{path}:{lineno}: header needs an entity column and at least one site")
     if len(numbered) == 1:
         raise EmptyTable(f"{path}: header only, no entities")
-    ids: list[str] = []
-    seen: set[str] = set()
-    values = []
+    values: dict[str, list[float]] = {}  # by entity id, in file order
     for lineno, row in numbered[1:]:
         if len(row) != len(header):
-            raise ParseError(
-                f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
-            )
+            raise ParseError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
         entity = row[0].strip()
         if not entity:
             raise ParseError(f"{path}:{lineno}: missing entity id")
-        if entity in seen:
+        if fault := text_fault(entity, "entity id"):
+            raise ParseError(f"{path}:{lineno}: {fault}")
+        if entity in values:
             raise ParseError(f"{path}:{lineno}: duplicate entity id {entity!r}")
-        seen.add(entity)
-        values.append(_numbers(path, lineno, row[1:]))
-        ids.append(entity)
-    v = np.array(values)
+        values[entity] = _numbers(path, lineno, row[1:])
+    v = np.array(list(values.values()))
     _check_values(path, numbered[1:], v)
-    return FeatureTable(tuple(ids), v, path.stem)
+    return FeatureTable(tuple(values), v, path.stem)
 
 
 def load_abundance_tables(paths) -> list[FeatureTable]:
@@ -682,22 +678,15 @@ def _upper(s: np.ndarray) -> np.ndarray:
 _BLOCK_CELLS = 1 << 16
 
 
-def _padded(pieces: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
-    """``pieces`` as rows of bytes padded to one width, and which bytes of each row are its piece's.
-
-    The second array keeps a piece whole, NUL bytes included, when rows are
-    written without their NUL padding.
-    """
-    width = max(1, *map(len, pieces))
-    rows = np.array(pieces, f"S{width}").view(np.uint8).reshape(len(pieces), width)
-    return rows, np.arange(width) < np.array([len(x) for x in pieces])[:, None]
+def _padded(pieces: list[bytes]) -> np.ndarray:
+    """``pieces`` as rows of bytes, NUL padded to the longest one's width."""
+    return np.array(pieces, "S").view(np.uint8).reshape(len(pieces), -1)
 
 
 def _write_kept(fh, columns):
-    """Write rows made of ``columns``, ``(bytes, kept)`` pairs of one height, with only their kept bytes."""
-    rows = np.concatenate([b for b, _ in columns], axis=1)
-    kept = np.concatenate([k for _, k in columns], axis=1)
-    fh.write(rows[kept])
+    """Write the rows made of ``columns``, byte arrays of one height, less their NUL padding (no label holds NUL)."""
+    rows = np.concatenate(columns, axis=1)
+    fh.write(rows[rows != 0])
 
 
 def write_similarity_csv(path, layer: SimilarityLayer) -> np.ndarray:
@@ -717,7 +706,7 @@ def write_similarity_csv(path, layer: SimilarityLayer) -> np.ndarray:
     fields[:, :-1] = _chars17(_upper(layer.S))
     fields[:, -1] = ord(",")
     labels = [_csv_field(lab).encode("utf-8") for lab in layer.labels]
-    heads, head_kept = _padded([b"\n" + lab + b"," for lab in labels])  # each row's start
+    heads = _padded([b"\n" + lab + b"," for lab in labels])  # each row's start
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
@@ -729,8 +718,7 @@ def write_similarity_csv(path, layer: SimilarityLayer) -> np.ndarray:
             i = j[start:start + step, None]
             cells = np.take(fields, before[np.minimum(i, j)] + np.maximum(i, j), axis=0).reshape(len(i), -1)
             cells[:, -1] = 0  # the row's last "," goes with the padding
-            block = slice(start, start + step)
-            _write_kept(fh, [(heads[block], head_kept[block]), (cells, cells != 0)])
+            _write_kept(fh, [heads[start:start + step], cells])
         fh.write(b"\n")
     return fields[:, :-1]
 
@@ -820,7 +808,7 @@ def _write_edges(path: Path, fmt: str, layer: SimilarityLayer, partition, thresh
         src = ['    <edge source="' + x + '" target="' for x in ids]
         dst = [x + '">\n      <data key="w">' for x in ids]
         tail, foot = "</data>\n    </edge>\n", "  </graph>\n</graphml>\n"
-    (src, src_kept), (dst, dst_kept) = (_padded([x.encode("utf-8") for x in pieces]) for pieces in (src, dst))
+    src, dst = (_padded([x.encode("utf-8") for x in pieces]) for pieces in (src, dst))
     tail = np.frombuffer(tail.encode("utf-8"), np.uint8)
 
     n = layer.n
@@ -831,11 +819,8 @@ def _write_edges(path: Path, fmt: str, layer: SimilarityLayer, partition, thresh
         fh.write(head.encode("utf-8"))
         for start in range(0, k.size, _EDGE_BLOCK):
             block = slice(start, start + _EDGE_BLOCK)
-            a, b, texts = i[block], j[block], chars[k[block]]
-            ends = np.broadcast_to(tail, (a.size, tail.size))
-            _write_kept(fh, [
-                (src[a], src_kept[a]), (dst[b], dst_kept[b]), (texts, texts != 0), (ends, np.ones(ends.shape, bool))
-            ])
+            a, b = i[block], j[block]
+            _write_kept(fh, [src[a], dst[b], chars[k[block]], np.broadcast_to(tail, (a.size, tail.size))])
         fh.write(foot.encode("utf-8"))
 
 

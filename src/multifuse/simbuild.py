@@ -7,6 +7,7 @@ rows.  Layers over one shared node set stack into a multiplex.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,10 +29,22 @@ def _lock(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_unique(names: tuple[str, ...], what: str):
-    """Raise ``InvalidInput`` naming the first of ``names`` that repeats."""
+#: A character outside XML 1.0's ``Char``: a C0 control but TAB, LF and CR, a lone surrogate, U+FFFE or U+FFFF.
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def text_fault(text: str, what: str) -> str | None:
+    """Why ``text`` cannot be a label or layer name, or None: every artifact, GraphML too, holds them as text."""
+    bad = _NOT_XML_CHAR.search(text)
+    return None if bad is None else f"{what} {text!r} holds {bad.group()!r}, which XML 1.0 excludes"
+
+
+def _check_names(names: tuple[str, ...], what: str):
+    """Raise ``InvalidInput`` naming the first of ``names`` that ``text_fault`` rejects or that repeats."""
     seen = set()
     for x in names:
+        if fault := text_fault(x, what):
+            raise InvalidInput(fault)
         if x in seen:
             raise InvalidInput(f"duplicate {what} {x!r}")
         seen.add(x)
@@ -82,7 +95,7 @@ class SimilarityLayer:
         self.labels = tuple(str(x) for x in self.labels)
         if len(self.labels) != s.shape[0]:
             raise InvalidInput(f"{len(self.labels)} labels for order {s.shape[0]}")
-        _check_unique(self.labels, "node label")
+        _check_names(self.labels, "node label")
         if s.min() < 0.0 or s.max() > 1.0:
             raise InvalidInput(
                 f"similarity entries must lie in [0, 1]; range "
@@ -129,7 +142,7 @@ class Multiplex:
             self.names = tuple(str(x) for x in self.names)
         if len(self.names) != len(self.layers):
             raise InvalidInput("one name per layer required")
-        _check_unique(self.names, "layer name")
+        _check_names(self.names, "layer name")
 
     @property
     def labels(self) -> tuple[str, ...]:

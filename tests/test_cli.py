@@ -242,8 +242,9 @@ class TestFuse:
             ("", "{path}: file is empty"),
             ("entity\nx\n", "{path}:1: header needs an entity column and at least one site"),
             ("entity,s1\n,1.0\n", "{path}:2: missing entity id"),
+            ("entity,s1\nx,1.0\na\0b,1.0\n", "{path}:3: entity id 'a\\x00b' holds '\\x00', which XML 1.0 excludes"),
         ],
-        ids=["empty", "one-cell-header", "empty-id"],
+        ids=["empty", "one-cell-header", "empty-id", "nul-in-id"],
     )
     def test_rejected_abundance_csv_message(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.csv"
@@ -335,9 +336,11 @@ class TestCluster:
             (",a,b\na,1,0.5\nb,nan,1\n", "{path}:3: non-finite value 'nan'"),
             (",a,b\na,1,1.5\nb,0.5,1\n", "{path}:2: value '1.5' above 1"),
             (",a,b\na,1,0.5\nb,x,1\n", "{path}:3: not a number: 'x'"),
+            (",a\0,b\na\0,1,0.5\nb,0.5,1\n", "{path}: node label 'a\\x00' holds '\\x00', which XML 1.0 excludes"),
+            (",a,\x01\na,1,0.5\n\x01,0.5,1\n", "{path}: node label '\\x01' holds '\\x01', which XML 1.0 excludes"),
         ],
         ids=["header-only", "row-order", "unclosed-quote", "nan-cell", "above-one-cell",
-             "non-numeric-cell"],
+             "non-numeric-cell", "nul-in-label", "control-label"],
     )
     def test_rejected_matrix_csv_message(self, tmp_path, capsys, text, message):
         p = tmp_path / "m.csv"
@@ -589,6 +592,21 @@ class TestRun:
             Path(paths[-1]).write_bytes(Path(src).read_bytes())
         assert main(command_args(command, tmp_path, paths)) == 2
         assert capsys.readouterr().err == "error: [stage similarity] duplicate layer name 'L'\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "fuse"])
+    def test_undecodable_layer_name_exit_code(self, tmp_path, capsys, monkeypatch, command):
+        def no_fusion(*args):
+            raise AssertionError("a method was fused")
+
+        monkeypatch.setattr(pipeline, "fuse_method", no_fusion)
+        # the file stem is not UTF-8, so its name holds a lone surrogate
+        bad = tmp_path / os.fsdecode(b"lay\xffer.csv")
+        bad.write_bytes(Path(inputs(1)[0]).read_bytes())
+        assert main(command_args(command, tmp_path, [str(bad), *inputs(2)])) == 2
+        assert capsys.readouterr().err == (
+            "error: [stage similarity] layer name 'lay\\udcffer' holds '\\udcff', which XML 1.0 excludes\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_weight_table_error_exit_code(self, tmp_path, capsys, monkeypatch):

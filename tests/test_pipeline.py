@@ -1,7 +1,9 @@
 import errno
 import json
+import re
 import sys
 import threading
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +98,12 @@ class TestLoad:
         # the quoted id spans lines 2-3, so the bad cell is on line 4
         p = write_csv(tmp_path / "a.csv", 'entity,s1\n"a\nb",1.0\nc,abc\n')
         with pytest.raises(ParseError, match="a.csv:4: not a number: 'abc'"):
+            load_abundance_tables([p])
+
+    @pytest.mark.parametrize("entity", ["a\0b", "a\x01b"])
+    def test_entity_id_outside_xml_chars(self, tmp_path, entity):
+        p = write_csv(tmp_path / "a.csv", f"entity,s1\nx,1.0\n{entity},2.0\n")
+        with pytest.raises(ParseError, match=re.escape(f"a.csv:3: entity id {entity!r} holds ")):
             load_abundance_tables([p])
 
     @pytest.mark.parametrize("load", [load_abundance_tables, load_similarity_csv])
@@ -362,6 +370,11 @@ class TestMatrixCsv:
         with pytest.raises(ParseError):
             load_similarity_csv(p)
 
+    def test_load_rejects_label_outside_xml_chars(self, tmp_path):
+        p = write_csv(tmp_path / "m.csv", ",a\0b,c\na\0b,1,0.5\nc,0.5,1\n")
+        with pytest.raises(ParseError, match=re.escape(f"{p}: node label 'a\\x00b' holds '\\x00'")):
+            load_similarity_csv(p)
+
     def test_error_names_file_line_after_blank_line(self, tmp_path):
         p = write_csv(tmp_path / "m.csv", ",a,b\n\na,1,0.5\nb,0.5,x\n")
         with pytest.raises(ParseError, match="m.csv:4: "):
@@ -413,7 +426,7 @@ class TestExport:
 
 
 #: Label characters that need CSV quoting, XML escaping, or neither.
-LABEL_CHARS = 'ab ,"&<>\t\r\n\0ü%'
+LABEL_CHARS = 'ab ,"&<>\t\r\nü%'
 TRICKY = ("a,b", 'q"q', "&<>", "t\tb", "c\rr", "n\nl", "spü1", "50%")
 SPECIAL_VALUES = (0.0, -0.0, 0.1, 1e-300, 5e-324, 1.0 / 3.0, 1.0)
 labels_st = st.lists(st.text(LABEL_CHARS, max_size=4), min_size=1, max_size=6, unique=True)
@@ -514,6 +527,40 @@ class TestWritersMatchReference:
         kept = np.count_nonzero(np.triu(s > 0.2, 1))
         assert pipeline._EDGE_BLOCK < kept < min(2 * pipeline._EDGE_BLOCK, n * (n - 1) // 2)
         self.check_export(tmp_path / "out", labels, s, np.arange(n) % 4, fmt, 0.2)
+
+
+class TestGraphmlParses:
+    """GraphML is well-formed XML that reads back the labels, communities and edges it was written with."""
+
+    NS = {"g": "http://graphml.graphdrawing.org/xmlns"}
+
+    def check(self, path, labels, s, community, threshold):
+        layer = SimilarityLayer(labels, s)
+        partition = None if community is None else Partition(layer.labels, community, 0.0)
+        export_graph(layer, partition, "graphml", path, threshold)
+        graph = ET.parse(path).getroot().find("g:graph", self.NS)
+        nodes = graph.findall("g:node", self.NS)
+        assert [x.get("id") for x in nodes] == list(layer.labels)
+        data = [[int(d.text) for d in x.findall("g:data[@key='c']", self.NS)] for x in nodes]
+        assert data == ([[] for _ in labels] if community is None else [[c] for c in community.tolist()])
+        edges = [
+            (e.get("source"), e.get("target"), float(e.find("g:data[@key='w']", self.NS).text))
+            for e in graph.findall("g:edge", self.NS)
+        ]
+        i, j = np.nonzero(np.triu(layer.S > threshold, 1))
+        assert edges == [(layer.labels[a], layer.labels[b], layer.S[a, b]) for a, b in zip(i, j)]
+
+    @settings(deadline=None, max_examples=100)
+    @given(net=networks())
+    def test_networks(self, tmp_path_factory, net):
+        self.check(tmp_path_factory.mktemp("g") / "g.graphml", *net)
+
+    @pytest.mark.parametrize("with_partition", [False, True])
+    def test_tricky_labels(self, tmp_path, with_partition):
+        n = len(TRICKY)
+        s = np.full((n, n), 0.25)
+        np.fill_diagonal(s, 1.0)
+        self.check(tmp_path / "g.graphml", TRICKY, s, np.arange(n) % 3 if with_partition else None, 0.0)
 
 
 class TestRunPipeline:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,15 @@ class TestTypes:
         with pytest.raises(InvalidInput, match="duplicate node label 'a'"):
             SimilarityLayer(("a", "a", "b"), np.eye(3))
 
+    @pytest.mark.parametrize("label", ["a\0b", "a\x01b", "\ud800", "\x0b", "\ufffe"])
+    def test_layer_rejects_label_outside_xml_chars(self, label):
+        with pytest.raises(InvalidInput, match=re.escape(f"node label {label!r} holds ")):
+            SimilarityLayer(("a", label), np.eye(2))
+
+    def test_layer_keeps_tab_newlines_and_other_planes(self):
+        labels = ("t\tb", "c\rr\nl", "\x7f\x85\ufffd", "\U0001f600")
+        assert SimilarityLayer(labels, np.eye(4)).labels == labels
+
     def test_multiplex_label_agreement(self):
         a = SimilarityLayer(("a", "b"), np.eye(2))
         b = SimilarityLayer(("a", "c"), np.eye(2))
@@ -73,6 +84,12 @@ class TestTypes:
         a = SimilarityLayer(("a", "b"), np.eye(2))
         with pytest.raises(InvalidInput, match="duplicate layer name 'L'"):
             Multiplex((a, a, a), ("L", "M", "L"))
+
+    def test_multiplex_rejects_name_outside_xml_chars(self):
+        # what os.fsdecode makes of a file stem that is not UTF-8
+        a = SimilarityLayer(("a", "b"), np.eye(2))
+        with pytest.raises(InvalidInput, match=re.escape("layer name 'lay\\udcffer' holds '\\udcff'")):
+            Multiplex((a, a), ("L", "lay\udcffer"))
 
 
 class TestRbf:

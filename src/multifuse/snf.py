@@ -170,26 +170,24 @@ def _owner(a: np.ndarray):
     return a if a.base is None else a.base
 
 
-def cdp_step(P: list[np.ndarray], Q: list[np.ndarray], out: list[np.ndarray] | None = None) -> list[np.ndarray]:
-    """One simultaneous cross-diffusion update of all layers.
+def cdp_step(P: list[np.ndarray], Q: list[np.ndarray], out: list[np.ndarray]) -> float:
+    """One simultaneous cross-diffusion update of all layers; returns how far they moved.
 
     ``P`` holds the status matrices and ``Q`` the fixed kernels, one per
     layer, all of one shape.  Every layer's new status is computed from the
-    old ``P``, then symmetrized (the update rule is not exactly
-    symmetry-preserving in floating point).  The new statuses are written
-    into ``out``, which is returned: one array per layer, none of them an
-    array of ``P`` or ``Q`` or a view of the memory one of those views.
-    Without ``out``, they go to new arrays.  The layers are updated through
-    ``map_ordered``, and each update allocates only its running sum.
+    old ``P``, symmetrized (the update rule is not exactly symmetry-preserving
+    in floating point) and written into ``out``, one array per layer; no
+    array of ``out`` may share memory with an array of ``P`` or ``Q``.
+    Returns the largest Frobenius norm of ``out[l] - P[l]``.  Each layer is
+    one item of a single ``map_ordered`` call and allocates only its running
+    sum, which then holds its change.
     """
     m = len(P)
     if m < 2:
         raise InvalidInput("cross diffusion needs at least two layers")
     if len(Q) != m:
         raise DimensionError(f"expected {m} kernels, got {len(Q)}")
-    if out is None:
-        out = [np.empty_like(p) for p in P]
-    elif len(out) != m:
+    if len(out) != m:
         raise DimensionError(f"expected {m} output arrays, got {len(out)}")
     shape = P[0].shape
     if any(x.shape != shape for x in (*P, *Q, *out)):
@@ -209,9 +207,9 @@ def cdp_step(P: list[np.ndarray], Q: list[np.ndarray], out: list[np.ndarray] | N
         np.matmul(out[l], Q[l].T, out=others)
         np.add(others, others.T, out=out[l])
         out[l] /= 2.0
+        return fro_norm(np.subtract(out[l], P[l], out=others))
 
-    map_ordered(update, range(m), shape[0])
-    return out
+    return max(map_ordered(update, range(m), shape[0]))
 
 
 def _reweight(fused: np.ndarray) -> np.ndarray:
@@ -232,9 +230,9 @@ def snf_fuse(layers: Multiplex, cfg: SnfConfig | None = None) -> FusionResult:
     Iterates ``cdp_step`` until the largest per-layer Frobenius change is at
     most ``cfg.epsilon`` or ``cfg.max_iter`` steps have run.  Hitting the
     iteration cap is reported through ``converged=False``, not an exception.
-    The layers' kernels and changes go through ``map_ordered``, as the
-    updates of ``cdp_step`` do, and the steps write into two lists of
-    status matrices in turn.
+    The kernels are one ``map_ordered`` call, each step is one more (inside
+    ``cdp_step``), and the steps write into two lists of status matrices in
+    turn.
     """
     cfg = cfg or SnfConfig()
     if layers.m < 2:
@@ -252,9 +250,8 @@ def snf_fuse(layers: Multiplex, cfg: SnfConfig | None = None) -> FusionResult:
     def diffuse(P):
         spare = [np.empty_like(p) for p in P]
         while True:
-            new_p = cdp_step(P, Q, out=spare)
-            yield max(map_ordered(lambda l: fro_norm(new_p[l] - P[l]), range(len(P)), layers.n)), new_p
-            P, spare = new_p, P
+            yield cdp_step(P, Q, spare), spare
+            P, spare = spare, P
 
     # The residual follows each step, so max_iter residuals mean max_iter steps.
     # The state of the last step taken is not written again, as no step follows it.

@@ -86,6 +86,37 @@ class TestMapOrdered:
             map_ordered(work, range(50), n=0)
         assert len(ran) < 50
 
+    def test_interrupt_of_the_caller_does_not_wait_for_helpers(self, cpus):
+        # two CPUs: the caller and one helper; the caller's item is interrupted
+        # while the helper's item is still blocked
+        cpus(2)
+
+        class Interrupt(BaseException):
+            pass
+
+        caller = threading.current_thread()
+        helper_began, release = threading.Event(), threading.Event()
+        on_helper = []
+
+        def work(x):
+            if threading.current_thread() is caller:
+                assert helper_began.wait(30)
+                raise Interrupt
+            on_helper.append(threading.current_thread())
+            helper_began.set()
+            release.wait(30)
+            return x
+
+        with pytest.raises(Interrupt):
+            map_ordered(work, range(6), n=0)
+        [helper] = on_helper
+        assert helper.is_alive()  # the caller did not join it
+        release.set()
+        helper.join(timeout=30)
+        assert not helper.is_alive()
+        assert len(on_helper) == 1  # it started no further item
+        assert parallel._helpers == 0
+
     def test_one_cpu_starts_no_thread(self, cpus, no_thread):
         cpus(1)
         assert map_ordered(lambda x: -x, range(5), n=0) == [0, -1, -2, -3, -4]

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from multifuse import snf
 from multifuse.errors import DimensionError, InvalidInput, InvalidParameter
+from multifuse.parallel import map_ordered
 from multifuse.simbuild import FeatureTable, Multiplex, SimilarityLayer, rbf_similarity
 from multifuse.snf import (
     SnfConfig,
@@ -158,10 +160,10 @@ class TestCdpStep:
     def test_identical_layers(self):
         p = global_normalize(FIX_S1)
         q = local_normalize(FIX_S1, 1)
-        out = cdp_step([p.copy(), p.copy()], [q, q])
+        out = [np.empty_like(p), np.empty_like(p)]
+        cdp_step([p.copy(), p.copy()], [q, q], out)
         expected = q @ p @ q.T
         expected = (expected + expected.T) / 2
-        assert len(out) == 2
         assert np.allclose(out[0], expected, atol=1e-15)
         assert np.allclose(out[1], expected, atol=1e-15)
 
@@ -169,7 +171,8 @@ class TestCdpStep:
         mats = [FIX_S1, FIX_S2]
         p = [global_normalize(s) for s in mats]
         q = [local_normalize(s, 1) for s in mats]
-        out = cdp_step([x.copy() for x in p], q)
+        out = [np.empty_like(x) for x in p]
+        cdp_step([x.copy() for x in p], q, out)
         ref = cdp_step_reference(p, q)
         for got, want in zip(out, ref):
             assert np.allclose(got, want, atol=1e-15)
@@ -178,18 +181,22 @@ class TestCdpStep:
         rng = np.random.default_rng(1)
         p = [rng.random((3, 3)) for _ in range(3)]
         p = [(x + x.T) / 2 for x in p]
-        out = cdp_step([x.copy() for x in p], [np.eye(3)] * 3)
+        out = [np.empty_like(x) for x in p]
+        cdp_step([x.copy() for x in p], [np.eye(3)] * 3, out)
         assert np.allclose(out[0], (p[1] + p[2]) / 2, atol=1e-15)
 
     def test_output_given_matches_reference_bytes(self):
+        # n = 120 maps the layers over helper threads when a CPU is free
         mats = [rbf_with_duplicates(120, seed) for seed in range(4)]
         p = [global_normalize(s) for s in mats]
         q = [local_normalize(s, 40) for s in mats]
         out = [np.full_like(x, np.nan) for x in p]
-        got = cdp_step(p, q, out=out)
-        assert got is out
-        for a, b in zip(got, cdp_step_reference(p, q)):
+        change = cdp_step(p, q, out)
+        for a, b in zip(out, cdp_step_reference(p, q)):
             assert np.array_equal(a, b)
+        assert type(change) is float
+        assert change == max(np.linalg.norm(a - b, "fro") for a, b in zip(out, p))
+        assert change > 0
 
     @pytest.mark.parametrize("alias", [lambda p, q: p[1], lambda p, q: p[0][:, ::-1], lambda p, q: q[0]],
                              ids=["status", "status-view", "kernel"])
@@ -201,7 +208,7 @@ class TestCdpStep:
 
     def test_needs_two_layers(self):
         with pytest.raises(InvalidInput):
-            cdp_step([np.eye(2)], [np.eye(2)])
+            cdp_step([np.eye(2)], [np.eye(2)], [np.empty((2, 2))])
 
     @pytest.mark.parametrize(
         "P, Q",
@@ -214,7 +221,12 @@ class TestCdpStep:
     )
     def test_mismatched_operands(self, P, Q):
         with pytest.raises(DimensionError):
-            cdp_step(P, Q)
+            cdp_step(P, Q, [np.empty_like(x) for x in P])
+
+    def test_output_list_of_another_length(self):
+        P = [np.eye(3)] * 3
+        with pytest.raises(DimensionError, match="^expected 3 output arrays, got 2$"):
+            cdp_step(P, P, [np.empty((3, 3)) for _ in range(2)])
 
 
 @pytest.mark.parametrize(
@@ -296,6 +308,35 @@ class TestSnfFuse:
         assert first.iterations > 2
         assert np.array_equal(first.matrix, second.matrix)
         assert first.residual_history == second.residual_history
+
+    def test_one_map_per_step(self, monkeypatch):
+        # one map for the kernels, then one per step: the updates and their changes together
+        calls = []
+
+        def counted(fn, items, n):
+            calls.append(n)
+            return map_ordered(fn, items, n)
+
+        monkeypatch.setattr(snf, "map_ordered", counted)
+        res = snf_fuse(Multiplex(tuple(rbf_with_duplicates(120, seed) for seed in range(5))))
+        assert res.iterations > 2
+        assert calls == [120] * (1 + res.iterations)
+
+    def test_zero_neighbour_rows_are_reported(self):
+        # node e has similarity 0 to every other node in L2, so its kernel row there is all zero
+        rng = np.random.default_rng(0)
+        mats = []
+        for l in range(3):
+            s = rng.uniform(0.1, 1.0, (5, 5))
+            s = (s + s.T) / 2
+            np.fill_diagonal(s, 1.0)
+            if l == 1:
+                s[4, :4] = s[:4, 4] = 0.0
+            mats.append(layer(s, tuple("abcde")))
+        res = snf_fuse(Multiplex(tuple(mats), ("L1", "L2", "L3")), SnfConfig(k=2))
+        assert res.diagnostics == {"zero_neighbour_rows": {"L2": [4]}}
+        assert res.converged
+        assert res.as_layer().labels == tuple("abcde")
 
     def test_nonconvergence_is_flagged_not_raised(self):
         res = snf_fuse(fixture_multiplex(), SnfConfig(k=2, epsilon=1e-15, max_iter=2))
